@@ -9,7 +9,8 @@
 //! * a **known-buggy** variant encoding a tempting-but-wrong
 //!   simplification (ignore closed-channel sends, check-then-act outside
 //!   the hub lock, treat a transient-empty queue as drained, tear an
-//!   atomic stats snapshot) — the explorer must *find* the failure, and
+//!   atomic stats snapshot, disarm a waker after draining the replies it
+//!   announces) — the explorer must *find* the failure, and
 //!   the discovered schedule string replays deterministically.
 //!
 //! The buggy variants are not dead weight: `oddci check model` runs them
@@ -592,6 +593,90 @@ pub fn scale_down_vs_heartbeat_stranded(sp: &mut Spawner) {
     scale_down_heartbeat_model(sp, false);
 }
 
+// ------------------------------------------------------- serving-loop wake
+
+/// Replies the producer hands the serving loop in the wake models.
+const REPLIES: u64 = 2;
+
+struct WakeModel {
+    /// A dispatch worker's replies, queued for the serving loop.
+    replies: Arc<ModelChannel<u64>>,
+    /// The waker's armed flag (nonzero = a wake is pending).
+    armed: Arc<ModelAtomic>,
+    /// The wake pair: one item per byte written, and the loop's
+    /// readiness wait is a blocking receive on it.
+    pipe: Arc<ModelChannel<()>>,
+}
+
+/// The wire serving loop's wake protocol (`crates/wire/src/waker.rs`).
+/// A producer queues each reply and then wakes the loop: the wake arms
+/// the flag, and only the wake that armed it writes a byte. The loop
+/// drains the pair, disarms, drains the replies, and blocks on the pair
+/// when a reply is still owed. Disarming *after* draining the replies
+/// loses a wakeup: a reply queued between the drain and the disarm finds
+/// the flag still armed, writes no byte, and the loop sleeps on a reply
+/// that is already waiting — a deadlock once the producer is done.
+fn serve_wake_model(sp: &mut Spawner, disarm_before_drain: bool) {
+    let m = Arc::new(WakeModel {
+        replies: Arc::new(ModelChannel::new("wire.replies", 0)),
+        armed: Arc::new(ModelAtomic::new("wire.waker.armed", 0)),
+        pipe: Arc::new(ModelChannel::new("wire.waker.pipe", 0)),
+    });
+
+    let p = Arc::clone(&m);
+    sp.spawn("dispatch-worker", move |ctx| {
+        for reply in 0..REPLIES {
+            p.replies.send(&ctx, reply).expect("loop is serving");
+            // `Waker::wake`: the swap that arms the flag owns the write.
+            if p.armed.fetch_add(&ctx, 1) == 0 {
+                p.pipe.send(&ctx, ()).expect("pair is open");
+            }
+        }
+    });
+
+    let l = Arc::clone(&m);
+    sp.spawn("serving-loop", move |ctx| {
+        let drain_pipe = || while let Ok(Some(())) = l.pipe.try_recv(&ctx) {};
+        let drain_replies = |got: &mut u64| {
+            while let Ok(Some(_)) = l.replies.try_recv(&ctx) {
+                *got += 1;
+            }
+        };
+        let mut got = 0;
+        loop {
+            if disarm_before_drain {
+                // `Waker::reset`, then the service's `poll`.
+                drain_pipe();
+                l.armed.store(&ctx, 0);
+                drain_replies(&mut got);
+            } else {
+                // Buggy variant: drain the replies first, disarm after.
+                drain_replies(&mut got);
+                drain_pipe();
+                l.armed.store(&ctx, 0);
+            }
+            if got == REPLIES {
+                return;
+            }
+            // The readiness wait: sleep until the pair is readable.
+            l.pipe.recv(&ctx).expect("pair is open");
+        }
+    });
+}
+
+/// Correct protocol: the loop disarms before it drains the replies, so
+/// every reply either is drained in the same pass or re-arms the waker
+/// and ends the next wait.
+pub fn serve_wake(sp: &mut Spawner) {
+    serve_wake_model(sp, true);
+}
+
+/// Buggy variant: disarming after the drain loses the wakeup of a reply
+/// queued in between, and the loop blocks forever on it.
+pub fn serve_wake_lost(sp: &mut Spawner) {
+    serve_wake_model(sp, false);
+}
+
 // ----------------------------------------------------------------- registry
 
 /// A named scenario plus its expected verdict under exploration.
@@ -665,6 +750,16 @@ pub static ALL: &[Scenario] = &[
     Scenario {
         name: "scale-down-vs-heartbeat-stranded",
         setup: scale_down_vs_heartbeat_stranded,
+        expect_clean: false,
+    },
+    Scenario {
+        name: "serve-wake",
+        setup: serve_wake,
+        expect_clean: true,
+    },
+    Scenario {
+        name: "serve-wake-lost",
+        setup: serve_wake_lost,
         expect_clean: false,
     },
 ];

@@ -3,10 +3,18 @@
 //! carousel's one-to-many transmission.
 
 use oddci_check::sync::{unbounded, Mutex, Receiver, Sender};
+use oddci_wire::Waker;
 
 /// A clone-fan-out broadcast channel.
 pub struct BroadcastBus<T: Clone> {
-    subscribers: Mutex<Vec<Sender<T>>>,
+    subscribers: Mutex<Vec<Subscriber<T>>>,
+}
+
+struct Subscriber<T> {
+    tx: Sender<T>,
+    /// Rung after each delivery, for a subscriber that sleeps on
+    /// something other than its receiver (the wire serving loop).
+    waker: Option<Waker>,
 }
 
 impl<T: Clone> Default for BroadcastBus<T> {
@@ -28,8 +36,20 @@ impl<T: Clone> BroadcastBus<T> {
     /// came before — just like a real carousel-less transmission; the
     /// runtime re-publishes periodically to model carousel repetition).
     pub fn subscribe(&self) -> Receiver<T> {
+        self.subscribe_with(None)
+    }
+
+    /// Like [`subscribe`](BroadcastBus::subscribe), but every message
+    /// delivered to the returned receiver also rings `waker` — for a
+    /// subscriber that waits in a `poll(2)` loop rather than on the
+    /// receiver, such as the socket headend's serving loop.
+    pub fn subscribe_waking(&self, waker: Waker) -> Receiver<T> {
+        self.subscribe_with(Some(waker))
+    }
+
+    fn subscribe_with(&self, waker: Option<Waker>) -> Receiver<T> {
         let (tx, rx) = unbounded();
-        self.subscribers.lock().push(tx);
+        self.subscribers.lock().push(Subscriber { tx, waker });
         rx
     }
 
@@ -37,7 +57,13 @@ impl<T: Clone> BroadcastBus<T> {
     /// Returns the number of subscribers reached.
     pub fn publish(&self, msg: &T) -> usize {
         let mut subs = self.subscribers.lock();
-        subs.retain(|tx| tx.send(msg.clone()).is_ok());
+        subs.retain(|sub| {
+            let delivered = sub.tx.send(msg.clone()).is_ok();
+            if let (true, Some(waker)) = (delivered, &sub.waker) {
+                waker.wake();
+            }
+            delivered
+        });
         subs.len()
     }
 

@@ -36,7 +36,7 @@ use crate::bus::BroadcastBus;
 use crate::image::{AlignmentImage, LiveBroadcast};
 use crate::runtime::{wall_now, BusMsg, LiveConfig, TaskBatchReply};
 use crate::snapshot::{ImageExport, SnapshotState};
-use oddci_check::sync::{bounded, Mutex, Receiver, RecvTimeoutError, Sender};
+use oddci_check::sync::{bounded, unbounded, Mutex, Receiver, RecvTimeoutError, Sender};
 use oddci_core::autoscale::{Reconciler, ScaleDecision, ScaleInputs};
 use oddci_core::backend::Backend;
 use oddci_core::controller::{
@@ -48,6 +48,7 @@ use oddci_core::sharded::split_target;
 use oddci_faults::FaultInjector;
 use oddci_telemetry::{Phase, Telemetry, CONTROL_TRACK};
 use oddci_types::{HeartbeatConfig, InstanceId, JobId, NodeId, SimDuration, SimTime, TaskId};
+use oddci_wire::Waker;
 use oddci_workload::Job;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -63,6 +64,53 @@ const CAROUSEL_CAP: usize = 256;
 /// How long a snapshot export/import waits for a shard or the carousel
 /// to answer before declaring the headend unhealthy.
 const EXPORT_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(5);
+
+/// Where a shard or dispatch worker sends its answer. A request that
+/// arrived over the wire carries the serving loop's [`Waker`], rung after
+/// the send so the loop relays the answer at once; in-process callers
+/// convert a bare sender and pass none.
+pub(crate) struct Reply<T> {
+    tx: Sender<T>,
+    waker: Option<Waker>,
+}
+
+impl<T> Reply<T> {
+    /// A reply that wakes `waker` once sent.
+    pub(crate) fn waking(tx: Sender<T>, waker: Waker) -> Reply<T> {
+        Reply {
+            tx,
+            waker: Some(waker),
+        }
+    }
+
+    /// Sends the answer, then rings the waker if there is one. A
+    /// requester that gave up (receiver dropped) is neither answered nor
+    /// woken.
+    pub(crate) fn send(self, value: T) {
+        if self.tx.send(value).is_ok() {
+            if let Some(waker) = &self.waker {
+                waker.wake();
+            }
+        }
+    }
+}
+
+impl<T> From<Sender<T>> for Reply<T> {
+    fn from(tx: Sender<T>) -> Reply<T> {
+        Reply { tx, waker: None }
+    }
+}
+
+/// Traffic into the snapshot writer thread.
+pub(crate) enum SnapshotMsg {
+    /// A job just finished: cut now instead of at the next interval, so
+    /// the finished job is durable as soon as its report is.
+    Cut,
+    /// Stop the writer. With `flush` (a clean shutdown) it first cuts
+    /// once more if a job finished after its last cut — a `Cut` still
+    /// in flight; without it (a crash) it exits at once.
+    Stop { flush: bool },
+}
 
 /// Traffic into the carousel thread.
 pub(crate) enum CarouselMsg {
@@ -85,7 +133,7 @@ pub(crate) enum ShardMsg {
     /// A heartbeat from a node this shard owns.
     Heartbeat {
         hb: Heartbeat,
-        reply: Sender<HeartbeatReply>,
+        reply: Reply<HeartbeatReply>,
     },
     /// Admit an instance (coordinator-allocated id, per-shard target).
     Admit {
@@ -131,7 +179,7 @@ pub(crate) enum DispatchMsg {
         instance: InstanceId,
         node: NodeId,
         max: usize,
-        reply: Sender<TaskBatchReply>,
+        reply: Reply<TaskBatchReply>,
     },
     /// A node uploads a batch of results.
     Results {
@@ -153,6 +201,9 @@ struct Hub {
     /// Wakeup broadcasts published per instance (sum over shards), for
     /// the Provider's report.
     wakeups: BTreeMap<InstanceId, u32>,
+    /// Jobs this headend has finished; the snapshot writer compares it
+    /// with the count as of its last cut.
+    jobs_finished: u64,
 }
 
 /// Handles to the sharded headend's threads and channels.
@@ -164,6 +215,9 @@ pub(crate) struct ShardedHeadend {
     carousel: Option<JoinHandle<()>>,
     shard_threads: Vec<JoinHandle<()>>,
     dispatch_threads: Vec<JoinHandle<()>>,
+    /// The snapshot writer's inbox, when the config asks for snapshots.
+    /// Dispatch workers hold senders to kick a cut on job completion.
+    snapshot_inbox: Option<(Sender<SnapshotMsg>, Receiver<SnapshotMsg>)>,
     next_instance: AtomicU64,
     start: Instant,
 }
@@ -194,6 +248,7 @@ impl ShardedHeadend {
                 job_queries: BTreeMap::new(),
                 job_scores: BTreeMap::new(),
                 wakeups: BTreeMap::new(),
+                jobs_finished: 0,
             },
             "live.hub",
         ));
@@ -256,6 +311,9 @@ impl ShardedHeadend {
             }));
         }
 
+        // Unbounded: kicks are one per finished job, and the writer
+        // coalesces whatever has queued by the time it cuts.
+        let snapshot_inbox = config.snapshot_dir.as_ref().map(|_| unbounded());
         let mut dispatch_txs = Vec::with_capacity(dispatch);
         let mut dispatch_threads = Vec::with_capacity(dispatch);
         for index in 0..dispatch {
@@ -263,10 +321,11 @@ impl ShardedHeadend {
             dispatch_txs.push(tx);
             let hub = Arc::clone(&hub);
             let shard_txs = shard_txs.clone();
+            let snapshot_tx = snapshot_inbox.as_ref().map(|(tx, _)| tx.clone());
             let inj = Arc::clone(&injector);
             let tele = tele.with_sink_lane(1 + shards + index);
             dispatch_threads.push(std::thread::spawn(move || {
-                dispatch_main(index, rx, hub, shard_txs, inj, start, tele)
+                dispatch_main(index, rx, hub, shard_txs, snapshot_tx, inj, start, tele)
             }));
         }
 
@@ -278,6 +337,7 @@ impl ShardedHeadend {
             carousel: Some(carousel),
             shard_threads,
             dispatch_threads,
+            snapshot_inbox,
             next_instance: AtomicU64::new(0),
             start,
         }
@@ -287,6 +347,12 @@ impl ShardedHeadend {
     /// requests/results by dispatch queue).
     pub(crate) fn node_links(&self) -> (Vec<Sender<ShardMsg>>, Vec<Sender<DispatchMsg>>) {
         (self.shard_txs.clone(), self.dispatch_txs.clone())
+    }
+
+    /// The snapshot writer's inbox (sender for stop requests, receiver
+    /// for the writer), or `None` when the config asks for no snapshots.
+    pub(crate) fn snapshot_inbox(&self) -> Option<(Sender<SnapshotMsg>, Receiver<SnapshotMsg>)> {
+        self.snapshot_inbox.clone()
     }
 
     /// A detached handle the snapshot writer thread exports through.
@@ -500,6 +566,12 @@ pub(crate) struct SnapshotHandle {
 }
 
 impl SnapshotHandle {
+    /// Jobs this headend has finished so far. Read before a cut, it is a
+    /// lower bound on the finished jobs the cut holds.
+    pub(crate) fn jobs_finished(&self) -> u64 {
+        self.hub.lock().jobs_finished
+    }
+
     /// Cuts one snapshot at the current instant. Returns `None` when the
     /// headend is winding down (a channel closed mid-export) — callers
     /// just skip that cycle.
@@ -795,7 +867,7 @@ fn shard_main(
                 lag_gauge.set(now.since(hb.sent_at).as_secs_f64());
                 let outputs = controller.on_heartbeat(hb, now);
                 let mut replies = apply_outputs(outputs, &carousel_tx, &hub, &start, &tele);
-                let _ = reply.send(replies.pop().unwrap_or(HeartbeatReply::Ack));
+                reply.send(replies.pop().unwrap_or(HeartbeatReply::Ack));
             }
             Ok(ShardMsg::Admit { instance, request }) => {
                 let outputs = controller.admit_instance(instance, request, wall_now(&start));
@@ -883,11 +955,15 @@ fn apply_outputs(
 // Dispatch workers
 // ---------------------------------------------------------------------
 
+/// One dispatch worker. `snapshot_tx`, when snapshots are on, is the
+/// writer's inbox, kicked each time this worker finishes a job.
+#[allow(clippy::too_many_arguments)]
 fn dispatch_main(
     index: usize,
     rx: Receiver<DispatchMsg>,
     hub: Arc<Mutex<Hub>>,
     shard_txs: Vec<Sender<ShardMsg>>,
+    snapshot_tx: Option<Sender<SnapshotMsg>>,
     injector: Arc<FaultInjector>,
     start: Instant,
     tele: Telemetry,
@@ -915,7 +991,7 @@ fn dispatch_main(
                     let mut hub = hub.lock();
                     fetch_batch_reply(&mut hub, instance, node, max)
                 };
-                let _ = reply.send(response);
+                reply.send(response);
             }
             DispatchMsg::Results { job, node, results } => {
                 let dismantle = {
@@ -945,6 +1021,9 @@ fn dispatch_main(
                             instance,
                             publish: i == 0,
                         });
+                    }
+                    if let Some(tx) = &snapshot_tx {
+                        let _ = tx.send(SnapshotMsg::Cut);
                     }
                 }
             }
@@ -989,6 +1068,7 @@ fn finish_job(hub: &mut Hub, job: JobId, now: SimTime, tele: &Telemetry) -> Opti
     let requeues = hub.backend.requeue_count(job);
     hub.provider
         .complete(req, now, completed, requeues, wakeups)?;
+    hub.jobs_finished += 1;
     if let Some(report) = hub.provider.report(req) {
         let end = now.as_micros();
         tele.span(

@@ -18,7 +18,7 @@
 //! `oddci-core` runs unmodified on this plane.
 
 use crate::bus::BroadcastBus;
-use crate::headend::{DispatchMsg, ShardMsg, ShardedHeadend, SnapshotHandle};
+use crate::headend::{DispatchMsg, ShardMsg, ShardedHeadend, SnapshotHandle, SnapshotMsg};
 use crate::image::{AlignmentImage, LiveBroadcast};
 use crate::snapshot::{self, SnapshotState};
 use crate::wire::WireMembership;
@@ -266,7 +266,12 @@ impl NodeLink {
             NodeLink::Single(tx) => tx.send(ToHeadend::Heartbeat(hb, reply)).is_ok(),
             NodeLink::Sharded { shards, .. } => {
                 let s = shard_of(hb.node, shards.len());
-                shards[s].send(ShardMsg::Heartbeat { hb, reply }).is_ok()
+                shards[s]
+                    .send(ShardMsg::Heartbeat {
+                        hb,
+                        reply: reply.into(),
+                    })
+                    .is_ok()
             }
             NodeLink::Remote(link) => link.send_heartbeat(hb, reply),
         }
@@ -295,7 +300,7 @@ impl NodeLink {
                         instance,
                         node,
                         max: *batch,
-                        reply,
+                        reply: reply.into(),
                     })
                     .is_ok()
             }
@@ -380,8 +385,8 @@ pub struct LiveOddci {
     /// snapshot epoch + 1 for a standby).
     epoch: u64,
     snapshot_handle: Option<SnapshotHandle>,
-    /// Dropping the sender stops the snapshot writer thread.
-    snapshot_stop: Option<Sender<()>>,
+    /// The snapshot writer's inbox, for its explicit stop.
+    snapshot_stop: Option<Sender<SnapshotMsg>>,
     snapshot_thread: Option<JoinHandle<()>>,
     /// The shared elastic-sizing loop state, when autoscale is on.
     autoscale: Option<Arc<Mutex<Reconciler>>>,
@@ -471,15 +476,20 @@ impl LiveOddci {
                 let conn_stats = Arc::new(oddci_wire::ConnStatsHub::new());
                 let membership =
                     Arc::new(Mutex::named(WireMembership::new(), "live.wire.membership"));
+                let waker = match oddci_wire::Waker::new() {
+                    Ok(w) => w,
+                    Err(e) => panic!("socket headend cannot create its waker: {e}"),
+                };
                 let service = crate::wire::LiveWireService::new(
                     Arc::clone(&shard_txs),
                     Arc::clone(&dispatch_txs),
                     batch,
-                    bus.subscribe(),
+                    bus.subscribe_waking(waker.clone()),
                     config.telemetry.clone(),
                     Arc::clone(&conn_stats),
                     0, // a fresh primary starts at epoch 0
                     Arc::clone(&membership),
+                    waker.clone(),
                 );
                 let mut scfg =
                     oddci_wire::ServerConfig::new(oddci_wire::Integrity::hmac(&config.key));
@@ -487,7 +497,7 @@ impl LiveOddci {
                     FaultInjector::new(config.faults.clone(), config.seed ^ 0xFA17_FA17);
                 scfg.telemetry = config.telemetry.clone();
                 scfg.conn_stats = Some(Arc::clone(&conn_stats));
-                let server = match oddci_wire::WireServer::bind(listen, scfg, service) {
+                let server = match oddci_wire::WireServer::bind(listen, scfg, waker, service) {
                     Ok(s) => s,
                     Err(e) => panic!("socket headend cannot bind {listen}: {e}"),
                 };
@@ -561,14 +571,15 @@ impl LiveOddci {
         let (snapshot_handle, snapshot_stop, snapshot_thread) = match &headend {
             Headend::Sharded(Some(sh)) | Headend::Socket { sh: Some(sh), .. } => {
                 let handle = sh.snapshot_handle();
-                match &config.snapshot_dir {
-                    Some(dir) => {
+                match (&config.snapshot_dir, sh.snapshot_inbox()) {
+                    (Some(dir), Some(inbox)) => {
                         let membership = match &headend {
                             Headend::Socket { membership, .. } => Some(Arc::clone(membership)),
                             _ => None,
                         };
                         let (stop, thread) = spawn_snapshot_writer(
                             sh.snapshot_handle(),
+                            inbox,
                             membership,
                             autoscale.as_ref().map(Arc::clone),
                             0,
@@ -579,7 +590,7 @@ impl LiveOddci {
                         );
                         (Some(handle), Some(stop), Some(thread))
                     }
-                    None => (Some(handle), None, None),
+                    _ => (Some(handle), None, None),
                 }
             }
             _ => (None, None, None),
@@ -628,6 +639,8 @@ impl LiveOddci {
         if config.nodes == 0 {
             return Err("a live system needs at least one node".into());
         }
+        let waker = oddci_wire::Waker::new()
+            .map_err(|e| format!("standby cannot create its waker: {e}"))?;
         let bus = Arc::new(BroadcastBus::new());
         let start = Instant::now();
         let adopt_begin = wall_now(&start).as_micros();
@@ -664,17 +677,18 @@ impl LiveOddci {
                 Arc::clone(&shard_txs),
                 Arc::clone(&dispatch_txs),
                 batch,
-                bus.subscribe(),
+                bus.subscribe_waking(waker.clone()),
                 config.telemetry.clone(),
                 Arc::clone(&conn_stats),
                 epoch,
                 Arc::clone(&membership),
+                waker.clone(),
             );
             let mut scfg = oddci_wire::ServerConfig::new(oddci_wire::Integrity::hmac(&config.key));
             scfg.injector = FaultInjector::new(config.faults.clone(), config.seed ^ 0xFA17_FA17);
             scfg.telemetry = config.telemetry.clone();
             scfg.conn_stats = Some(Arc::clone(&conn_stats));
-            match oddci_wire::WireServer::bind(listen, scfg, service) {
+            match oddci_wire::WireServer::bind(listen, scfg, waker.clone(), service) {
                 Ok(s) => break s,
                 Err(oddci_wire::WireError::Io(e))
                     if e.kind() == std::io::ErrorKind::AddrInUse
@@ -727,10 +741,11 @@ impl LiveOddci {
             }
             None => (None, None, None),
         };
-        let (snapshot_stop, snapshot_thread) = match &config.snapshot_dir {
-            Some(dir) => {
+        let (snapshot_stop, snapshot_thread) = match (&config.snapshot_dir, sh.snapshot_inbox()) {
+            (Some(dir), Some(inbox)) => {
                 let (stop, thread) = spawn_snapshot_writer(
                     sh.snapshot_handle(),
+                    inbox,
                     Some(Arc::clone(&membership)),
                     autoscale.as_ref().map(Arc::clone),
                     epoch,
@@ -741,7 +756,7 @@ impl LiveOddci {
                 );
                 (Some(stop), Some(thread))
             }
-            None => (None, None),
+            _ => (None, None),
         };
         Ok(LiveOddci {
             headend: Headend::Socket {
@@ -1009,6 +1024,17 @@ impl LiveOddci {
         applied
     }
 
+    /// Stops the snapshot writer (see [`SnapshotMsg::Stop`] for `flush`)
+    /// and joins it. Returns 1 if the writer had panicked, else 0.
+    fn stop_snapshot_writer(&mut self, flush: bool) -> u64 {
+        if let Some(tx) = self.snapshot_stop.take() {
+            let _ = tx.send(SnapshotMsg::Stop { flush });
+        }
+        self.snapshot_thread
+            .take()
+            .map_or(0, |t| u64::from(t.join().is_err()))
+    }
+
     /// Kills a socket headend the way SIGKILL would: the listener and its
     /// service drop (PNAs see a dead connection, not a goodbye), the
     /// headend threads are abandoned to exit on channel disconnect, and
@@ -1025,10 +1051,9 @@ impl LiveOddci {
         if let Some(t) = self.autoscale_thread.take() {
             let _ = t.join();
         }
-        drop(self.snapshot_stop.take());
-        if let Some(t) = self.snapshot_thread.take() {
-            let _ = t.join();
-        }
+        // A killed process cuts nothing more: the writer exits without
+        // serving a kick that may still be queued.
+        self.stop_snapshot_writer(false);
         match &mut self.headend {
             Headend::Socket { sh, server, .. } => {
                 if let Some(mut server) = server.take() {
@@ -1062,10 +1087,8 @@ impl LiveOddci {
         if let Some(t) = self.autoscale_thread.take() {
             threads_failed += u64::from(t.join().is_err());
         }
-        drop(self.snapshot_stop.take());
-        if let Some(t) = self.snapshot_thread.take() {
-            threads_failed += u64::from(t.join().is_err());
-        }
+        // A clean stop still cuts a finished job whose kick is in flight.
+        threads_failed += self.stop_snapshot_writer(true);
         self.bus.publish(&BusMsg::Shutdown);
         let tasks_unaccounted = match &mut self.headend {
             Headend::Single { tx, thread } => {
@@ -1130,12 +1153,16 @@ impl LiveOddci {
 // Snapshot writer
 // ---------------------------------------------------------------------
 
-/// Spawns the periodic snapshot writer: every `interval` it cuts a state
-/// export and atomically replaces `dir/headend.snap`. Dropping the
-/// returned sender (or sending on it) stops the thread.
+/// Spawns the snapshot writer: it cuts a state export and atomically
+/// replaces `dir/headend.snap` every `interval`, and at once when a
+/// dispatch worker kicks it with [`SnapshotMsg::Cut`] on finishing a job
+/// (kicks already queued coalesce into that one cut). It runs until
+/// [`SnapshotMsg::Stop`] arrives on `inbox`; the returned sender is the
+/// inbox's, for that stop.
 #[allow(clippy::too_many_arguments)]
 fn spawn_snapshot_writer(
     handle: SnapshotHandle,
+    inbox: (Sender<SnapshotMsg>, Receiver<SnapshotMsg>),
     membership: Option<Arc<Mutex<WireMembership>>>,
     autoscale: Option<Arc<Mutex<Reconciler>>>,
     epoch: u64,
@@ -1143,37 +1170,58 @@ fn spawn_snapshot_writer(
     interval: Duration,
     start: Instant,
     tele: Telemetry,
-) -> (Sender<()>, JoinHandle<()>) {
-    let (tx, rx) = bounded::<()>(1);
+) -> (Sender<SnapshotMsg>, JoinHandle<()>) {
+    let (tx, rx) = inbox;
     let thread = std::thread::spawn(move || {
         if std::fs::create_dir_all(&dir).is_err() {
             return; // nowhere to write; durability is best-effort
         }
         let path = dir.join(snapshot::SNAPSHOT_FILE);
+        // Finished jobs as of the last cut.
+        let mut cut_through = 0u64;
         loop {
-            match rx.recv_timeout(interval) {
-                Ok(()) | Err(RecvTimeoutError::Disconnected) => return,
-                Err(RecvTimeoutError::Timeout) => {}
-            }
-            let begin = wall_now(&start).as_micros();
-            let wire = membership
-                .as_ref()
-                .map(|m| m.lock().export())
-                .unwrap_or((0, Vec::new()));
-            let Some(mut snap) = handle.export(epoch, wire) else {
-                return; // headend winding down mid-export
+            let (cut, stop) = match rx.recv_timeout(interval) {
+                Err(RecvTimeoutError::Timeout) => (true, false),
+                Err(RecvTimeoutError::Disconnected) => (false, true),
+                Ok(SnapshotMsg::Cut) => {
+                    // One cut serves every kick queued so far; a stop
+                    // queued behind them decides whether it still runs.
+                    let stop = rx.try_iter().find_map(|msg| match msg {
+                        SnapshotMsg::Stop { flush } => Some(flush),
+                        SnapshotMsg::Cut => None,
+                    });
+                    (stop.unwrap_or(true), stop.is_some())
+                }
+                Ok(SnapshotMsg::Stop { flush }) => {
+                    (flush && handle.jobs_finished() > cut_through, true)
+                }
             };
-            snap.autoscale = autoscale
-                .as_ref()
-                .map(|r| r.lock().export(wall_now(&start)));
-            let _ = snapshot::write_file(&path, &snap);
-            tele.span(
-                begin,
-                wall_now(&start).as_micros(),
-                Phase::HeadendSnapshot,
-                CONTROL_TRACK,
-                epoch,
-            );
+            if cut {
+                let begin = wall_now(&start).as_micros();
+                let finished = handle.jobs_finished();
+                let wire = membership
+                    .as_ref()
+                    .map(|m| m.lock().export())
+                    .unwrap_or((0, Vec::new()));
+                let Some(mut snap) = handle.export(epoch, wire) else {
+                    return; // headend winding down mid-export
+                };
+                snap.autoscale = autoscale
+                    .as_ref()
+                    .map(|r| r.lock().export(wall_now(&start)));
+                let _ = snapshot::write_file(&path, &snap);
+                cut_through = finished;
+                tele.span(
+                    begin,
+                    wall_now(&start).as_micros(),
+                    Phase::HeadendSnapshot,
+                    CONTROL_TRACK,
+                    epoch,
+                );
+            }
+            if stop {
+                return;
+            }
         }
     });
     (tx, thread)
@@ -1943,6 +1991,84 @@ mod tests {
                 .expect("pna thread joins")
                 .expect("pna survives the failover");
             assert_eq!(rep.epoch, 1, "every PNA re-acked at the standby's epoch");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A finished job is durable before anyone shuts down: the dispatch
+    /// worker that finishes it kicks the snapshot writer, which cuts at
+    /// once instead of waiting out an interval this test sets far beyond
+    /// the job's runtime.
+    #[test]
+    fn a_finished_job_is_snapshotted_before_shutdown() {
+        let dir = std::env::temp_dir().join(format!(
+            "oddci-finish-cut-test-{}-{:x}",
+            std::process::id(),
+            std::ptr::from_ref(&()) as usize
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let live = LiveOddci::start(LiveConfig {
+            nodes: 2,
+            heartbeat_interval: Duration::from_millis(60),
+            mode: HeadendMode::Socket {
+                listen: "127.0.0.1:0".parse().expect("addr"),
+                shards: 2,
+                dispatch: 2,
+                batch: 4,
+            },
+            snapshot_dir: Some(dir.clone()),
+            snapshot_interval: Duration::from_secs(60),
+            ..Default::default()
+        });
+        let addr = live.wire_addr().expect("socket headends listen");
+        let pnas: Vec<_> = (0..2u64)
+            .map(|i| {
+                std::thread::spawn(move || {
+                    let mut cfg = WirePnaConfig::new(addr);
+                    cfg.seed = 300 + i;
+                    cfg.heartbeat_interval = Duration::from_millis(60);
+                    run_wire_pna(cfg)
+                })
+            })
+            .collect();
+        let image = AlignmentImage {
+            db_len: 20_000,
+            ..AlignmentImage::small_demo()
+        };
+        let outcome = live
+            .run_alignment_job(image, 6, 2, Duration::from_secs(60))
+            .expect("job completes");
+        let job = outcome.report.job;
+
+        let snap_path = dir.join(crate::snapshot::SNAPSHOT_FILE);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let snap = loop {
+            if let Ok(s) = crate::snapshot::read_file(&snap_path) {
+                let finished = s.provider.requests.iter().any(|r| {
+                    r.job == job && matches!(r.state, oddci_core::provider::RequestState::Complete)
+                });
+                if finished {
+                    break s;
+                }
+            }
+            assert!(
+                Instant::now() < deadline,
+                "no snapshot holds the finished job"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        let scores = snap
+            .job_scores
+            .iter()
+            .find(|(j, _)| *j == job)
+            .map_or(0, |(_, s)| s.len());
+        assert_eq!(scores, 6, "the cut holds every score of the finished job");
+
+        let report = live.shutdown();
+        assert_eq!(report.tasks_unaccounted, 0);
+        assert_eq!(report.threads_failed, 0);
+        for h in pnas {
+            h.join().expect("pna thread joins").expect("pna runs");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

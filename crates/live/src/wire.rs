@@ -21,7 +21,7 @@
 //! channel-backed planes (`node_main`'s reply timeouts on the PNA side,
 //! a pending-reply ceiling on the headend side).
 
-use crate::headend::{DispatchMsg, ShardMsg};
+use crate::headend::{DispatchMsg, Reply, ShardMsg};
 use crate::image::{AlignmentImage, LiveBroadcast};
 use crate::runtime::{node_main, BusMsg, NodeLink, TaskBatchReply};
 use oddci_check::sync::{bounded, unbounded, Mutex, Receiver, Sender, TryRecvError};
@@ -32,7 +32,7 @@ use oddci_telemetry::{Phase, Telemetry};
 use oddci_types::NodeId;
 use oddci_wire::codec::{Reader, Writer};
 use oddci_wire::{
-    ClientConfig, ConnId, ConnStatsHub, Integrity, Outbox, WireBatch, WireClient, WireError,
+    ClientConfig, ConnId, ConnStatsHub, Integrity, Outbox, Waker, WireBatch, WireClient, WireError,
     WireMsg, WireService, WireStatsSnapshot, PROTO_VERSION,
 };
 use oddci_workload::alignment::{random_sequence, Scoring};
@@ -145,7 +145,8 @@ impl WireMembership {
 }
 
 /// A reply the headend still owes a connection: the shard/dispatch
-/// worker answers on `rx`, and the serving loop's `poll` relays it out.
+/// worker answers on `rx` and rings the serving loop's waker, and the
+/// loop's `poll` relays the answer out.
 struct PendingReply<T> {
     conn: ConnId,
     corr: u64,
@@ -175,6 +176,8 @@ pub(crate) struct LiveWireService {
     pending_hb: Vec<PendingReply<HeartbeatReply>>,
     pending_tasks: Vec<PendingReply<TaskBatchReply>>,
     db_cache: BTreeMap<(u64, u64), Arc<Vec<u8>>>,
+    /// The serving loop's waker, handed to every shard/dispatch request.
+    waker: Waker,
 }
 
 impl LiveWireService {
@@ -189,6 +192,7 @@ impl LiveWireService {
         conn_stats: Arc<ConnStatsHub>,
         epoch: u64,
         membership: Arc<Mutex<WireMembership>>,
+        waker: Waker,
     ) -> LiveWireService {
         LiveWireService {
             shards,
@@ -204,6 +208,7 @@ impl LiveWireService {
             pending_hb: Vec::new(),
             pending_tasks: Vec::new(),
             db_cache: BTreeMap::new(),
+            waker,
         }
     }
 
@@ -341,7 +346,10 @@ impl WireService for LiveWireService {
                 let (rtx, rrx) = bounded(1);
                 let s = shard_of(hb.node, self.shards.len());
                 if self.shards[s]
-                    .send(ShardMsg::Heartbeat { hb, reply: rtx })
+                    .send(ShardMsg::Heartbeat {
+                        hb,
+                        reply: Reply::waking(rtx, self.waker.clone()),
+                    })
                     .is_ok()
                 {
                     self.pending_hb.push(PendingReply {
@@ -363,7 +371,7 @@ impl WireService for LiveWireService {
                     instance,
                     node,
                     max: self.batch,
-                    reply: rtx,
+                    reply: Reply::waking(rtx, self.waker.clone()),
                 };
                 if self.dispatch[d].send(req).is_ok() {
                     self.pending_tasks.push(PendingReply {

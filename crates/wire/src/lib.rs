@@ -1,3 +1,5 @@
+#![deny(unsafe_code)]
+
 //! `oddci-wire`: the framed, checksummed wire protocol that carries the
 //! OddCI live plane over real sockets.
 //!
@@ -17,9 +19,12 @@
 //! * [`codec`] / [`message`] — a deterministic little-endian binary
 //!   codec and the [`WireMsg`] vocabulary (hello, heartbeat, task fetch,
 //!   result upload, signed broadcast, shutdown).
-//! * [`tcp`] — a `std::net` transport: a single-threaded poll/accept
-//!   serving loop on the headend side ([`WireServer`]) and a blocking
-//!   direct-channel client per PNA ([`WireClient`]).
+//! * [`tcp`] — a `std::net` transport: a single-threaded serving loop
+//!   on the headend side ([`WireServer`]) that sleeps in a `poll(2)`
+//!   readiness wait until a socket is ready or its [`Waker`] rings, and
+//!   a blocking direct-channel client per PNA ([`WireClient`]).
+//! * [`waker`] — the [`Waker`] other threads ring after queueing a reply
+//!   for the serving loop.
 //! * [`fault`] — deterministic frame mangling driven by the shared
 //!   fault injector, for rehearsing corruption on loopback.
 //!
@@ -50,7 +55,11 @@ pub mod envelope;
 pub mod fault;
 pub mod frame;
 pub mod message;
+// The one place this crate may use `unsafe`: the hand-declared `poll(2)`.
+#[allow(unsafe_code)]
+mod poll;
 pub mod tcp;
+pub mod waker;
 
 pub use envelope::{encode_chunks, Assembled, Reassembler, ReassemblyStats, MAX_MESSAGE};
 pub use fault::{mangle_frames, MangleReport};
@@ -62,6 +71,7 @@ pub use tcp::{
     ClientConfig, ConnId, ConnStatsHub, ConnTraffic, Outbox, ServerConfig, WireClient, WireServer,
     WireService, WireStats, WireStatsSnapshot,
 };
+pub use waker::Waker;
 
 use std::fmt;
 

@@ -1,30 +1,38 @@
-//! The `std::net` TCP transport: a poll/accept serving loop for the
-//! headend and a blocking direct-channel client for each PNA.
+//! The `std::net` TCP transport: a readiness-driven serving loop for
+//! the headend and a blocking direct-channel client for each PNA.
 //!
 //! # Serving-loop thread model
 //!
 //! [`WireServer::bind`] spawns **one** serving thread that owns the
-//! listener and every accepted connection. Each iteration it
+//! listener and every accepted connection. Each pass it
 //!
-//! 1. accepts any pending connections (non-blocking listener),
-//! 2. reads available bytes from every connection into that
+//! 1. resets its [`Waker`] (drains the wake pair, then disarms),
+//! 2. accepts any pending connections (non-blocking listener),
+//! 3. reads available bytes from every connection into that
 //!    connection's [`FrameDecoder`] and [`Reassembler`], handing each
 //!    completed message to the [`WireService`],
-//! 3. calls [`WireService::poll`] so the service can emit unprompted
+//! 4. calls [`WireService::poll`] so the service can emit unprompted
 //!    traffic (broadcasts, replies that became ready),
-//! 4. encodes the [`Outbox`] into per-connection output buffers
+//! 5. encodes the [`Outbox`] into per-connection output buffers
 //!    (chunking large payloads, applying wire faults when an injector
 //!    is armed), and
-//! 5. flushes those buffers until the sockets would block.
+//! 6. flushes those buffers until the sockets would block.
 //!
-//! When nothing progressed the loop sleeps briefly, so an idle headend
-//! costs microseconds per iteration rather than a spinning core. A stop
-//! request keeps the loop alive until every output buffer drains (or a
-//! grace period expires) so a final shutdown broadcast actually reaches
-//! the peers. Single-threaded connection ownership means the service
-//! never needs a lock around connection state — the serving loop *is*
-//! the serialization point, mirroring the polling-loop shape used by the
-//! in-process headend carousel.
+//! A pass that moved nothing ends in a `poll(2)` readiness wait on the
+//! listener, every open connection (readable, plus writable while output
+//! is pending) and the waker. The loop therefore wakes the moment a peer
+//! sends, a socket drains, or another thread rings the waker after
+//! queueing a reply; there is no fixed sleep on the hot path. A constant
+//! fallback tick bounds the wait, so the service's timeout reaping and
+//! the drain deadline still run on an otherwise silent plane.
+//!
+//! A stop request keeps the loop alive until every output buffer drains
+//! (or a grace period expires) so a final shutdown broadcast actually
+//! reaches the peers; [`WireServer::stop`] rings the waker, so an idle
+//! server stops at once. Single-threaded connection ownership means the
+//! service never needs a lock around connection state — the serving loop
+//! *is* the serialization point, mirroring the polling-loop shape used by
+//! the in-process headend carousel.
 //!
 //! The [`WireClient`] is the PNA half: a blocking connect (with retry
 //! until a deadline, since the headend may still be binding), a reader
@@ -35,7 +43,8 @@ use crate::envelope::{encode_chunks, Reassembler, ReassemblyStats};
 use crate::fault::mangle_frames;
 use crate::frame::{DecodeStats, FrameDecoder, Integrity, DEFAULT_CHUNK};
 use crate::message::WireMsg;
-use crate::WireError;
+use crate::poll::{self, PollFd, POLLIN, POLLOUT};
+use crate::{Waker, WireError};
 use oddci_check::sync::{self, Mutex, Receiver};
 use oddci_faults::FaultInjector;
 use oddci_telemetry::{Phase, Telemetry};
@@ -43,6 +52,7 @@ use oddci_types::{NodeId, SimTime};
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -351,8 +361,10 @@ pub trait WireService: Send {
     /// `conn` closed (EOF or error). Queued output for it is dropped.
     fn on_disconnect(&mut self, _conn: ConnId, _out: &mut Outbox) {}
 
-    /// Called once per loop iteration regardless of traffic — the place
-    /// to surface replies that became ready on internal channels.
+    /// Called on every pass of the serving loop: after traffic, after
+    /// each wake of the server's [`Waker`], and at least once per
+    /// fallback tick. The place to surface replies that became ready on
+    /// internal channels — whoever queues such a reply rings the waker.
     fn poll(&mut self, _out: &mut Outbox) {}
 }
 
@@ -363,8 +375,6 @@ pub struct ServerConfig {
     pub integrity: Integrity,
     /// Chunk payload size for outbound messages.
     pub max_chunk: usize,
-    /// Sleep per loop iteration when no traffic moved.
-    pub idle_sleep: Duration,
     /// How long a stopping server keeps flushing unsent output.
     pub drain_grace: Duration,
     /// Wire fault injector (disabled by default); outbound frames to
@@ -378,13 +388,12 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// Defaults: 16 KiB chunks, 500 µs idle sleep, 2 s drain grace, no
-    /// faults, telemetry off, no per-connection ledger.
+    /// Defaults: 16 KiB chunks, 2 s drain grace, no faults, telemetry
+    /// off, no per-connection ledger.
     pub fn new(integrity: Integrity) -> ServerConfig {
         ServerConfig {
             integrity,
             max_chunk: DEFAULT_CHUNK,
-            idle_sleep: Duration::from_micros(500),
             drain_grace: Duration::from_secs(2),
             injector: FaultInjector::disabled(),
             telemetry: Telemetry::disabled(),
@@ -411,21 +420,31 @@ impl ServerConn {
     }
 }
 
+/// Upper bound on one readiness wait. Nothing on the hot path waits for
+/// it: it only lets the service's `poll` reap timed-out replies and a
+/// stopping loop reach its drain deadline when no socket stirs.
+const FALLBACK_TICK: Duration = Duration::from_millis(100);
+
 /// A headend-side socket endpoint: binds, accepts, and runs a
 /// [`WireService`] on a single serving thread until stopped.
 pub struct WireServer {
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
+    waker: Waker,
     handle: Option<JoinHandle<()>>,
     stats: WireStats,
 }
 
 impl WireServer {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts the
-    /// serving loop with `service`.
+    /// serving loop with `service`. The loop sleeps until a socket is
+    /// ready or `waker` rings: a service whose replies are produced on
+    /// other threads hands those threads clones of `waker`, and they ring
+    /// it after queueing each reply.
     pub fn bind<S: WireService + 'static>(
         addr: SocketAddr,
         config: ServerConfig,
+        waker: Waker,
         service: S,
     ) -> Result<WireServer, WireError> {
         let listener = TcpListener::bind(addr)?;
@@ -434,16 +453,25 @@ impl WireServer {
         let stop = Arc::new(AtomicBool::new(false));
         let stats = WireStats::new();
         let thread_stop = Arc::clone(&stop);
+        let thread_waker = waker.clone();
         let thread_stats = stats.clone();
         let handle = thread::Builder::new()
             .name("wire-server".into())
             .spawn(move || {
-                serve(listener, config, service, thread_stop, thread_stats);
+                serve(
+                    listener,
+                    config,
+                    service,
+                    thread_stop,
+                    thread_waker,
+                    thread_stats,
+                );
             })
             .map_err(WireError::Io)?;
         Ok(WireServer {
             local_addr,
             stop,
+            waker,
             handle: Some(handle),
             stats,
         })
@@ -459,10 +487,13 @@ impl WireServer {
         self.stats.clone()
     }
 
-    /// Stops the serving loop (after its drain grace) and joins it.
-    /// Returns `false` if the serving thread had panicked.
+    /// Stops the serving loop and joins it. The loop returns as soon as
+    /// its output buffers are flushed (at once when idle), or when the
+    /// drain grace expires. Returns `false` if the serving thread had
+    /// panicked.
     pub fn stop(&mut self) -> bool {
         self.stop.store(true, Ordering::SeqCst);
+        self.waker.wake();
         match self.handle.take() {
             Some(h) => h.join().is_ok(),
             None => true,
@@ -476,12 +507,44 @@ impl Drop for WireServer {
     }
 }
 
+/// Blocks until the listener (while accepting), a connection (readable,
+/// or writable while it has output pending) or the waker is ready, or
+/// until `timeout` passes. `fds` is scratch space reused across passes.
+fn wait_ready(
+    listener: Option<&TcpListener>,
+    conns: &BTreeMap<ConnId, ServerConn>,
+    waker: &Waker,
+    fds: &mut Vec<PollFd>,
+    timeout: Duration,
+) {
+    fds.clear();
+    fds.push(PollFd::new(waker.fd(), POLLIN));
+    if let Some(l) = listener {
+        fds.push(PollFd::new(l.as_raw_fd(), POLLIN));
+    }
+    for conn in conns.values().filter(|c| c.open) {
+        let events = if conn.pending_out() > 0 {
+            POLLIN | POLLOUT
+        } else {
+            POLLIN
+        };
+        fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
+    }
+    // A failed poll (out of memory, too many descriptors) falls back to
+    // waiting on the waker alone, so the loop neither spins nor misses a
+    // stop; the next pass retries every socket anyway.
+    if poll::wait(fds, timeout).is_err() {
+        let _ = poll::wait(&mut [PollFd::new(waker.fd(), POLLIN)], timeout);
+    }
+}
+
 /// The serving loop body. Runs on the dedicated server thread.
 fn serve<S: WireService>(
     listener: TcpListener,
     config: ServerConfig,
     mut service: S,
     stop: Arc<AtomicBool>,
+    waker: Waker,
     stats: WireStats,
 ) {
     let start = Instant::now();
@@ -491,12 +554,17 @@ fn serve<S: WireService>(
     let mut read_buf = vec![0u8; 64 * 1024];
     let mut outbox = Outbox::new();
     let mut drain_deadline: Option<Instant> = None;
+    let mut fds = Vec::new();
 
     loop {
+        // 1. Reset the waker. Disarm before anything below reads the
+        // stop flag or drains a reply channel: a stop or a reply from
+        // here on re-arms the waker and ends this pass's wait at once.
+        waker.reset();
         let stopping = stop.load(Ordering::SeqCst);
         let mut progressed = false;
 
-        // 1. Accept (not while stopping: the fleet is winding down).
+        // 2. Accept (not while stopping: the fleet is winding down).
         if !stopping {
             loop {
                 match listener.accept() {
@@ -537,7 +605,7 @@ fn serve<S: WireService>(
             }
         }
 
-        // 2. Read every connection and deliver completed messages.
+        // 3. Read every connection and deliver completed messages.
         let ids: Vec<ConnId> = conns.keys().copied().collect();
         for conn_id in &ids {
             let Some(conn) = conns.get_mut(conn_id) else {
@@ -598,13 +666,14 @@ fn serve<S: WireService>(
             }
         }
 
-        // 3. Give the service its tick.
+        // 4. Give the service its pass.
         service.poll(&mut outbox);
 
-        // 4. Encode the outbox into per-connection buffers.
+        // 5. Encode the outbox into per-connection buffers.
         if outbox.stop {
             stop.store(true, Ordering::SeqCst);
             outbox.stop = false;
+            progressed = true;
         }
         let queue = std::mem::take(&mut outbox.queue);
         for (target, msg) in queue {
@@ -650,7 +719,7 @@ fn serve<S: WireService>(
             }
         }
 
-        // 5. Flush output buffers.
+        // 6. Flush output buffers.
         for (conn_id, conn) in conns.iter_mut() {
             if !conn.open || conn.pending_out() == 0 {
                 continue;
@@ -691,7 +760,7 @@ fn serve<S: WireService>(
             }
         }
 
-        // 6. Reap closed connections.
+        // 7. Reap closed connections.
         let closed: Vec<ConnId> = conns
             .iter()
             .filter(|(_, c)| !c.open)
@@ -709,21 +778,26 @@ fn serve<S: WireService>(
             progressed = true;
         }
 
-        // 7. Stop once drained (or when the grace period expires).
+        // 8. Stop once drained (or when the grace period expires).
+        let mut timeout = FALLBACK_TICK;
         if stopping {
             let deadline =
                 *drain_deadline.get_or_insert_with(|| Instant::now() + config.drain_grace);
             let drained = conns.values().all(|c| c.pending_out() == 0);
-            if drained || Instant::now() >= deadline {
+            let now = Instant::now();
+            if drained || now >= deadline {
                 for conn in conns.values() {
                     let _ = conn.stream.shutdown(Shutdown::Both);
                 }
                 return;
             }
+            timeout = timeout.min(deadline - now);
         }
 
+        // 9. Nothing moved: sleep until something is ready.
         if !progressed {
-            thread::sleep(config.idle_sleep);
+            let accepting = (!stopping).then_some(&listener);
+            wait_ready(accepting, &conns, &waker, &mut fds, timeout);
         }
     }
 }
@@ -985,18 +1059,18 @@ mod tests {
         }
     }
 
+    fn serve_on_loopback<S: WireService + 'static>(config: ServerConfig, service: S) -> WireServer {
+        let waker = Waker::new().expect("waker");
+        WireServer::bind(loopback(), config, waker, service).expect("bind")
+    }
+
     fn client(addr: SocketAddr, integrity: Integrity) -> WireClient {
         WireClient::connect(addr, ClientConfig::new(integrity)).expect("connect")
     }
 
     #[test]
     fn echo_round_trip_over_loopback() {
-        let mut server = WireServer::bind(
-            loopback(),
-            ServerConfig::new(Integrity::hmac(b"test-key")),
-            Echo,
-        )
-        .expect("bind");
+        let mut server = serve_on_loopback(ServerConfig::new(Integrity::hmac(b"test-key")), Echo);
         let mut c = client(server.local_addr(), Integrity::hmac(b"test-key"));
         assert!(c.send(&WireMsg::Hello {
             proto: crate::message::PROTO_VERSION,
@@ -1047,7 +1121,7 @@ mod tests {
         }
         let mut config = ServerConfig::new(Integrity::Crc32);
         config.max_chunk = 4096;
-        let mut server = WireServer::bind(loopback(), config, Blast { sent: false }).expect("bind");
+        let mut server = serve_on_loopback(config, Blast { sent: false });
         let mut c = client(server.local_addr(), Integrity::Crc32);
         let msg = c
             .receiver()
@@ -1082,8 +1156,7 @@ mod tests {
                 );
             }
         }
-        let mut server =
-            WireServer::bind(loopback(), ServerConfig::new(Integrity::Crc32), Who).expect("bind");
+        let mut server = serve_on_loopback(ServerConfig::new(Integrity::Crc32), Who);
         let addr = server.local_addr();
         let mut clients: Vec<WireClient> = (0..4).map(|_| client(addr, Integrity::Crc32)).collect();
         let mut seen = std::collections::BTreeSet::new();
@@ -1131,15 +1204,13 @@ mod tests {
                 }
             }
         }
-        let mut server = WireServer::bind(
-            loopback(),
+        let mut server = serve_on_loopback(
             ServerConfig::new(Integrity::Crc32),
             OneShot {
                 fired: false,
                 conns: 0,
             },
-        )
-        .expect("bind");
+        );
         let addr = server.local_addr();
         let mut a = client(addr, Integrity::Crc32);
         let mut b = client(addr, Integrity::Crc32);
@@ -1170,7 +1241,7 @@ mod tests {
                 out.send(conn, msg);
             }
         }
-        let mut server = WireServer::bind(loopback(), config, Echo2).expect("bind");
+        let mut server = serve_on_loopback(config, Echo2);
         let mut c = client(server.local_addr(), Integrity::Crc32);
         // A message spanning several chunks gets its first frames swapped
         // by the injector on every send; reassembly must still deliver.

@@ -124,8 +124,11 @@ FAILOVER_PORT=${FAILOVER_PORT:-7842}
 FAILOVER_SNAP=results/ci-failover-snap
 rm -rf "${FAILOVER_SNAP}"
 echo "==> failover smoke: SIGKILL primary, standby adoption on 127.0.0.1:${FAILOVER_PORT}"
+# The library is sized so the job outlives the kill below: with 500 kB a
+# 2-core box finished all 96 queries in about 0.35 s, before the kill
+# landed, and the standby then had no job in flight to adopt.
 "${ODDCI_BIN}" headend --listen "127.0.0.1:${FAILOVER_PORT}" \
-    --pnas 3 --target 3 --queries 96 --db-len 500000 --timeout 60 \
+    --pnas 3 --target 3 --queries 96 --db-len 4000000 --timeout 60 \
     --snapshot-dir "${FAILOVER_SNAP}" --snapshot-interval-ms 50 --json \
     > results/ci-failover-primary.json &
 HEADEND_PIDS="$!"

@@ -6,8 +6,12 @@
 use oddci::faults::{FaultClass, FaultPlan, FaultSpec};
 use oddci::live::wire::{run_wire_pna, WirePnaConfig};
 use oddci::live::{AlignmentImage, HeadendMode, LiveConfig, LiveOddci};
+use oddci::wire::{
+    ClientConfig, ConnId, Integrity, Outbox, ServerConfig, Waker, WireClient, WireMsg, WireServer,
+    WireService,
+};
 use std::net::{IpAddr, Ipv4Addr, SocketAddr};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn loopback() -> SocketAddr {
     SocketAddr::new(IpAddr::V4(Ipv4Addr::LOCALHOST), 0)
@@ -176,4 +180,106 @@ fn late_pnas_join_via_rebroadcast() {
     for pna in pnas {
         pna.join().expect("pna exits");
     }
+}
+
+/// A service that answers nothing itself: it hands each message to a
+/// worker thread, which echoes it back on a channel and rings the
+/// serving loop's waker — the shape of the live headend, whose dispatch
+/// workers answer task fetches off the serving thread.
+struct OffThreadEcho {
+    to_worker: std::sync::mpsc::Sender<(ConnId, WireMsg)>,
+    replies: std::sync::mpsc::Receiver<(ConnId, WireMsg)>,
+}
+
+impl WireService for OffThreadEcho {
+    fn on_message(&mut self, conn: ConnId, msg: WireMsg, _out: &mut Outbox) {
+        let _ = self.to_worker.send((conn, msg));
+    }
+
+    fn poll(&mut self, out: &mut Outbox) {
+        while let Ok((conn, msg)) = self.replies.try_recv() {
+            out.send(conn, msg);
+        }
+    }
+}
+
+#[test]
+fn replies_from_another_thread_arrive_through_the_waker() {
+    let waker = Waker::new().expect("waker");
+    let (to_worker, work) = std::sync::mpsc::channel::<(ConnId, WireMsg)>();
+    let (reply_tx, replies) = std::sync::mpsc::channel();
+    let worker = {
+        let waker = waker.clone();
+        std::thread::spawn(move || {
+            for (conn, msg) in work {
+                // Answer a little late, as a dispatch worker does: by
+                // then the loop has finished the passes that carried the
+                // request and sleeps in its readiness wait.
+                std::thread::sleep(Duration::from_millis(2));
+                if reply_tx.send((conn, msg)).is_err() {
+                    return;
+                }
+                waker.wake();
+            }
+        })
+    };
+    let service = OffThreadEcho { to_worker, replies };
+    let mut server = WireServer::bind(
+        loopback(),
+        ServerConfig::new(Integrity::Crc32),
+        waker,
+        service,
+    )
+    .expect("bind");
+    let mut client = WireClient::connect(server.local_addr(), ClientConfig::new(Integrity::Crc32))
+        .expect("connect");
+
+    // Strictly one request in flight at a time, so every reply waits on
+    // the serving loop's readiness wait: only the waker ends it early.
+    const ROUND_TRIPS: u64 = 50;
+    let begin = Instant::now();
+    for corr in 0..ROUND_TRIPS {
+        assert!(client.send(&WireMsg::StatsQuery { corr }));
+        match client.receiver().recv_timeout(Duration::from_secs(5)) {
+            Ok(WireMsg::StatsQuery { corr: back }) => assert_eq!(back, corr),
+            other => panic!("round trip {corr}: unexpected {other:?}"),
+        }
+    }
+    // Without the waker each reply would sit until the loop's fallback
+    // tick (100 ms): 50 round trips would take at least 5 s.
+    let elapsed = begin.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(2500),
+        "{ROUND_TRIPS} woken round trips took {elapsed:?}"
+    );
+
+    client.close();
+    assert!(server.stop(), "serving thread exited cleanly");
+    worker
+        .join()
+        .expect("worker exits once the service is gone");
+}
+
+#[test]
+fn an_idle_server_stops_well_before_its_drain_grace() {
+    struct Silent;
+    impl WireService for Silent {
+        fn on_message(&mut self, _conn: ConnId, _msg: WireMsg, _out: &mut Outbox) {}
+    }
+    let mut config = ServerConfig::new(Integrity::Crc32);
+    config.drain_grace = Duration::from_secs(10);
+    let mut server =
+        WireServer::bind(loopback(), config, Waker::new().expect("waker"), Silent).expect("bind");
+    let client = WireClient::connect(server.local_addr(), ClientConfig::new(Integrity::Crc32))
+        .expect("connect");
+    // Let the loop accept the peer and settle into its readiness wait.
+    std::thread::sleep(Duration::from_millis(200));
+    let begin = Instant::now();
+    assert!(server.stop());
+    let elapsed = begin.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "stopping an idle server took {elapsed:?} (drain grace 10 s)"
+    );
+    drop(client);
 }
