@@ -46,8 +46,13 @@ const MEMBERSHIPS: [u64; 3] = [10_000, 100_000, 1_000_000];
 const INTERVALS_MS: [u64; 4] = [25, 50, 100, 200];
 /// PNA processes (threads here) per live run.
 const PNAS: u64 = 3;
-/// Queries per live job — enough work that the crash lands mid-job.
-const QUERIES: usize = 64;
+/// Queries per live job — enough work that the crash lands mid-job at
+/// every cadence. With 64 the job finished inside 200 ms, and the only
+/// snapshot holding it was the cut its completion triggered.
+const QUERIES: usize = 4096;
+/// Queries in the synthetic snapshots' one job, held constant so the
+/// synthetic sweep measures how membership alone scales.
+const SYNTHETIC_QUERIES: u64 = 64;
 
 /// One row of the synthetic scaling table.
 #[derive(Debug, Clone, Serialize)]
@@ -135,7 +140,7 @@ fn synthetic_snapshot(nodes: u64) -> SnapshotState {
         instance_job: vec![(InstanceId::new(0), JobId::new(0))],
         job_queries: vec![(
             JobId::new(0),
-            (0..QUERIES as u64)
+            (0..SYNTHETIC_QUERIES)
                 .map(|i| random_sequence(64, SEED ^ i))
                 .collect(),
         )],
@@ -246,18 +251,20 @@ fn live_failover(interval_ms: u64) -> LiveRow {
         .submit_query_job(image, queries, PNAS)
         .expect("submit succeeds");
 
-    // Pull the plug only once a snapshot has seen the job.
+    // Pull the plug only once a snapshot has seen the job in flight. A
+    // job finished at the cut is no failover: the cut a job's completion
+    // triggers would otherwise satisfy the wait at the longer cadences.
     let snap_path = dir.join(SNAPSHOT_FILE);
     let deadline = Instant::now() + Duration::from_secs(30);
     let snap = loop {
         if let Ok(s) = oddci_live::snapshot::read_file(&snap_path) {
-            if !s.job_queries.is_empty() {
+            if s.backend.jobs.iter().any(|j| j.completed_age.is_none()) {
                 break s;
             }
         }
         assert!(
             Instant::now() < deadline,
-            "no snapshot containing the job appeared within 30s"
+            "no snapshot with the job in flight appeared within 30s"
         );
         std::thread::sleep(Duration::from_millis(5));
     };

@@ -1877,11 +1877,7 @@ mod tests {
         let snap = live.snapshot_now().expect("sharded headends can snapshot");
         let decoded =
             crate::snapshot::decode(&crate::snapshot::encode(&snap)).expect("container decodes");
-        assert_eq!(decoded.epoch, snap.epoch);
-        assert_eq!(decoded.taken_at_us, snap.taken_at_us);
-        assert_eq!(decoded.instance_job, snap.instance_job);
-        assert_eq!(decoded.job_scores, snap.job_scores);
-        assert_eq!(decoded.wire_next_node, snap.wire_next_node);
+        assert_eq!(decoded, snap);
         let report = live.shutdown();
         assert_eq!(report.tasks_unaccounted, 0);
     }

@@ -1,5 +1,7 @@
 //! Minimal little-endian binary codec shared by the wire message
-//! vocabulary (and by `oddci-live`'s image payloads).
+//! vocabulary (and by `oddci-live`'s image payloads and headend
+//! snapshots), plus the encoders of the domain values both carry:
+//! [`Task`]s and [`NodeRequirements`].
 //!
 //! Hand-rolled on purpose: payload encoding must be byte-deterministic
 //! (the envelope checksums it), compact (wakeup images dominate traffic)
@@ -8,6 +10,9 @@
 //! panicking — decoded bytes come straight off a socket.
 
 use crate::WireError;
+use oddci_core::messages::NodeRequirements;
+use oddci_types::{DataSize, SimDuration, TaskId};
+use oddci_workload::Task;
 
 /// Append-only little-endian byte writer.
 #[derive(Debug, Default)]
@@ -166,6 +171,41 @@ impl<'a> Reader<'a> {
         let len = self.u32()? as usize;
         self.take(len)
     }
+}
+
+/// Encoded size of one [`Task`] (four `u64`s).
+pub const TASK_LEN: usize = 32;
+
+/// Writes a [`Task`]: id, input size, cost, result size.
+pub fn encode_task(w: &mut Writer, task: &Task) {
+    w.u64(task.id.raw());
+    w.u64(task.input_size.bits());
+    w.u64(task.cost.as_micros());
+    w.u64(task.result_size.bits());
+}
+
+/// Reads a [`Task`] written by [`encode_task`].
+pub fn decode_task(r: &mut Reader<'_>) -> Result<Task, WireError> {
+    Ok(Task::new(
+        TaskId::new(r.u64()?),
+        DataSize::from_bits(r.u64()?),
+        SimDuration::from_micros(r.u64()?),
+        DataSize::from_bits(r.u64()?),
+    ))
+}
+
+/// Writes [`NodeRequirements`]: minimum memory, then the standby flag.
+pub fn encode_requirements(w: &mut Writer, req: &NodeRequirements) {
+    w.u64(req.min_memory.bits());
+    w.bool(req.standby_only);
+}
+
+/// Reads [`NodeRequirements`] written by [`encode_requirements`].
+pub fn decode_requirements(r: &mut Reader<'_>) -> Result<NodeRequirements, WireError> {
+    Ok(NodeRequirements {
+        min_memory: DataSize::from_bits(r.u64()?),
+        standby_only: r.bool()?,
+    })
 }
 
 #[cfg(test)]

@@ -84,8 +84,12 @@ impl Integrity {
     }
 }
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slice-by-8 lookup tables for the reflected IEEE polynomial:
+/// `table[0]` is the classic bytewise table, and `table[k][b]` is the
+/// CRC of byte `b` followed by `k` zero bytes, so eight input bytes fold
+/// into the checksum with eight independent lookups.
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -98,20 +102,46 @@ const fn crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-const CRC_TABLE: [u32; 256] = crc_table();
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
-/// IEEE CRC-32 over the concatenation of `parts`.
+/// IEEE CRC-32 over the concatenation of `parts`. Each part is folded
+/// eight bytes at a time (slice-by-8) and its tail bytewise; the running
+/// checksum carries across parts, so split points need no alignment.
 pub fn crc32_parts(parts: &[&[u8]]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
     for part in parts {
-        for &b in *part {
-            c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        let mut chunks = part.chunks_exact(8);
+        for b in &mut chunks {
+            let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+            let hi = u32::from_le_bytes([b[4], b[5], b[6], b[7]]);
+            c = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in chunks.remainder() {
+            c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
         }
     }
     !c

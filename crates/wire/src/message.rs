@@ -8,18 +8,19 @@
 //! Broadcast traffic (wakeups, resets, shutdown) flows server → client
 //! with no correlation: it is the socket mirror of the carousel bus.
 
-use crate::codec::{Reader, Writer};
+use crate::codec::{
+    decode_requirements, decode_task, encode_requirements, encode_task, Reader, Writer,
+};
 use crate::tcp::ConnTraffic;
 use crate::WireError;
 use oddci_core::messages::{
-    ControlMessage, Heartbeat, HeartbeatReply, NodeRequirements, PnaStateKind, ResetMessage,
-    SignedMessage, WakeupMessage,
+    ControlMessage, Heartbeat, HeartbeatReply, PnaStateKind, ResetMessage, SignedMessage,
+    WakeupMessage,
 };
 use oddci_crypto::{Tag, TAG_LEN};
 use oddci_telemetry::{HistogramSummary, RegistrySnapshot};
 use oddci_types::{
-    DataSize, ImageId, InstanceId, JobId, MessageId, NodeId, Probability, SimDuration, SimTime,
-    TaskId,
+    DataSize, ImageId, InstanceId, JobId, MessageId, NodeId, Probability, SimTime, TaskId,
 };
 use oddci_workload::Task;
 
@@ -455,22 +456,6 @@ fn decode_heartbeat(r: &mut Reader<'_>) -> Result<Heartbeat, WireError> {
     })
 }
 
-fn encode_task(w: &mut Writer, task: &Task) {
-    w.u64(task.id.raw());
-    w.u64(task.input_size.bits());
-    w.u64(task.cost.as_micros());
-    w.u64(task.result_size.bits());
-}
-
-fn decode_task(r: &mut Reader<'_>) -> Result<Task, WireError> {
-    Ok(Task::new(
-        TaskId::new(r.u64()?),
-        DataSize::from_bits(r.u64()?),
-        SimDuration::from_micros(r.u64()?),
-        DataSize::from_bits(r.u64()?),
-    ))
-}
-
 /// Encodes a signed control message: the same field order as
 /// [`ControlMessage::canonical_bytes`] (so the decoded message re-signs
 /// to the identical tag), followed by the 32-byte HMAC tag.
@@ -483,8 +468,7 @@ fn encode_signed(w: &mut Writer, signed: &SignedMessage) {
             w.u64(m.image.raw());
             w.u64(m.image_size.bits());
             w.f64(m.probability.value());
-            w.u64(m.requirements.min_memory.bits());
-            w.bool(m.requirements.standby_only);
+            encode_requirements(w, &m.requirements);
         }
         ControlMessage::Reset(m) => {
             w.u8(2);
@@ -503,10 +487,7 @@ fn decode_signed(r: &mut Reader<'_>) -> Result<SignedMessage, WireError> {
             image: ImageId::new(r.u64()?),
             image_size: DataSize::from_bits(r.u64()?),
             probability: Probability::new(r.f64()?),
-            requirements: NodeRequirements {
-                min_memory: DataSize::from_bits(r.u64()?),
-                standby_only: r.bool()?,
-            },
+            requirements: decode_requirements(r)?,
         }),
         2 => ControlMessage::Reset(ResetMessage {
             id: MessageId::new(r.u64()?),
@@ -524,7 +505,9 @@ fn decode_signed(r: &mut Reader<'_>) -> Result<SignedMessage, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oddci_core::messages::NodeRequirements;
     use oddci_crypto::MessageAuthenticator;
+    use oddci_types::SimDuration;
 
     fn signed_wakeup() -> SignedMessage {
         let auth = MessageAuthenticator::from_key(b"controller-key");

@@ -3,6 +3,7 @@
 //! flipped bit anywhere on the wire must never surface as a *wrong*
 //! payload — rejection or silence, never corruption.
 
+use oddci_wire::frame::crc32_parts;
 use oddci_wire::{encode_chunks, FrameDecoder, Integrity, Reassembler, HEADER_LEN};
 use proptest::prelude::*;
 
@@ -21,6 +22,23 @@ fn pump(integrity: &Integrity, bytes: &[u8], step: usize) -> Vec<(u8, u64, Vec<u
         }
     }
     out
+}
+
+/// Bit-at-a-time IEEE CRC-32: the textbook definition, sharing no table
+/// with the slice-by-8 implementation it checks.
+fn crc32_reference(bytes: &[u8]) -> u32 {
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        c ^= u32::from(b);
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+    }
+    !c
 }
 
 proptest! {
@@ -116,5 +134,24 @@ proptest! {
         let got = pump(&integrity, &bytes, 64);
         prop_assert_eq!(got.len(), 1, "duplicates must not re-deliver");
         prop_assert_eq!(&got[0].2, &payload);
+    }
+
+    /// Slice-by-8 CRC-32 over any bytes split at any points (parts of
+    /// any length, empty ones included, so boundaries fall off the
+    /// 8-byte stride) equals the bitwise reference over the whole.
+    #[test]
+    fn crc32_parts_matches_bitwise_reference(
+            bytes in proptest::collection::vec(any::<u8>(), 0..600),
+            cuts in proptest::collection::vec(any::<usize>(), 0..6)) {
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (bytes.len() + 1)).collect();
+        cuts.sort_unstable();
+        let mut parts: Vec<&[u8]> = Vec::new();
+        let mut from = 0;
+        for cut in cuts {
+            parts.push(&bytes[from..cut]);
+            from = cut;
+        }
+        parts.push(&bytes[from..]);
+        prop_assert_eq!(crc32_parts(&parts), crc32_reference(&bytes));
     }
 }

@@ -167,7 +167,14 @@ for seed in (201, 202, 203):
     with open(f"results/ci-failover-pna-{seed}.json") as f:
         pna = json.load(f)
     assert pna["epoch"] == 1, (seed, pna)
-print("    failover smoke: standby adopted at epoch 1, 96 tasks, none lost")
+# The snapshot the headend processes published is in the current
+# container format ("OSNP", version 2 as a little-endian u16): the CLI
+# binaries, not only the library under test, write it.
+with open("results/ci-failover-snap/headend.snap", "rb") as f:
+    head = f.read(6)
+assert head[:4] == b"OSNP", head
+assert int.from_bytes(head[4:6], "little") == 2, head
+print("    failover smoke: standby adopted at epoch 1, 96 tasks, none lost, OSNP v2")
 EOF
 rm -rf "${FAILOVER_SNAP}"
 
