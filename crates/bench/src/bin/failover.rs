@@ -19,7 +19,7 @@
 //! `results/failover.metrics.json` envelope.
 
 use oddci_bench::{header, write_artifact, write_metrics, RunInfo};
-use oddci_core::backend::BackendState;
+use oddci_core::backend::{BackendState, JobExport};
 use oddci_core::controller::{ControllerState, InstanceExport, NodeExport};
 use oddci_core::provider::{ProviderState, RequestExport, RequestState};
 use oddci_core::{
@@ -33,6 +33,7 @@ use oddci_live::{
 use oddci_telemetry::HistogramSummary;
 use oddci_types::{DataSize, ImageId, InstanceId, JobId, NodeId, SimDuration, TaskId};
 use oddci_workload::alignment::random_sequence;
+use oddci_workload::{Job, Task};
 use serde::Serialize;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -79,8 +80,9 @@ struct LiveRow {
 
 /// A snapshot the size a fleet-scale headend would cut: one active
 /// instance at `nodes` members, a full heartbeat registry, and the wire
-/// plane's identity ledger. Job payloads are held constant — the point
-/// is how membership scales, and jobs are measured by the live sweep.
+/// plane's identity ledger. The job is held constant — the point is how
+/// membership scales, and jobs are measured by the live sweep — but its
+/// ledger, queries and score agree, as decoding requires.
 fn synthetic_snapshot(nodes: u64) -> SnapshotState {
     const SHARDS: u64 = 2;
     let request = InstanceRequest {
@@ -124,7 +126,31 @@ fn synthetic_snapshot(nodes: u64) -> SnapshotState {
         epoch: 0,
         taken_at_us: 1_000_000,
         shards,
-        backend: BackendState { jobs: Vec::new() },
+        backend: BackendState {
+            jobs: vec![JobExport {
+                job: Job::new(
+                    JobId::new(0),
+                    ImageId::new(1),
+                    DataSize(50_000),
+                    (0..SYNTHETIC_QUERIES)
+                        .map(|i| {
+                            Task::new(
+                                TaskId::new(i),
+                                DataSize::from_bytes(150),
+                                SimDuration::from_millis(10),
+                                DataSize::from_bytes(8),
+                            )
+                        })
+                        .collect(),
+                ),
+                pending: (1..SYNTHETIC_QUERIES).map(TaskId::new).collect(),
+                assigned: Vec::new(),
+                completed: vec![TaskId::new(0)],
+                submitted_age: SimDuration::from_secs_f64(1.0),
+                completed_age: None,
+                requeues: 0,
+            }],
+        },
         provider: ProviderState {
             requests: vec![RequestExport {
                 request: ProviderRequest(0),

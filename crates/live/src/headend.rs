@@ -23,7 +23,9 @@
 //!   round trip amortizes across `batch` tasks.
 //!
 //! Shared job state (Backend, Provider, per-job queries/scores) lives in
-//! a `Hub` behind one mutex. The locking rule that keeps this
+//! a `Hub` behind one mutex. Everything done under it on a fetch or a
+//! result is indexed by the dense task id: Backend slots, query table,
+//! score table. The locking rule that keeps this
 //! deadlock-free: **never send on a channel while holding the hub lock**
 //! — every handler computes under the lock, drops it, then sends.
 //!
@@ -190,6 +192,37 @@ pub(crate) enum DispatchMsg {
     Shutdown,
 }
 
+/// One job's reported scores, indexed by [`TaskId::index`].
+struct JobScores {
+    by_task: Vec<Option<i32>>,
+    /// Tasks with a score.
+    scored: u64,
+}
+
+impl JobScores {
+    fn new(tasks: usize) -> JobScores {
+        JobScores {
+            by_task: vec![None; tasks],
+            scored: 0,
+        }
+    }
+
+    /// Records the score a node reported for `task`. An id outside the
+    /// job is dropped.
+    fn record(&mut self, task: TaskId, score: i32) {
+        if let Some(slot) = self.by_task.get_mut(task.index()) {
+            self.scored += u64::from(slot.replace(score).is_none());
+        }
+    }
+
+    /// The recorded scores in ascending task order.
+    fn entries(by_task: &[Option<i32>]) -> impl Iterator<Item = (TaskId, i32)> + '_ {
+        (0..)
+            .zip(by_task)
+            .filter_map(|(i, score)| score.map(|score| (TaskId::new(i), score)))
+    }
+}
+
 /// Job state shared by dispatch workers, shards and the coordinator.
 struct Hub {
     backend: Backend,
@@ -197,7 +230,7 @@ struct Hub {
     instance_job: BTreeMap<InstanceId, JobId>,
     job_instance: BTreeMap<JobId, InstanceId>,
     job_queries: BTreeMap<JobId, Vec<Arc<Vec<u8>>>>,
-    job_scores: BTreeMap<JobId, BTreeMap<TaskId, i32>>,
+    job_scores: BTreeMap<JobId, JobScores>,
     /// Wakeup broadcasts published per instance (sum over shards), for
     /// the Provider's report.
     wakeups: BTreeMap<InstanceId, u32>,
@@ -370,6 +403,8 @@ impl ShardedHeadend {
     /// Must run before node traffic arrives (standby adoption happens
     /// before the wire server binds).
     pub(crate) fn import_state(&self, snap: &SnapshotState) -> Result<(), String> {
+        snap.validate()
+            .map_err(|why| format!("snapshot cannot be adopted: {why}"))?;
         if snap.shards.len() != self.shard_txs.len() {
             return Err(format!(
                 "snapshot has {} controller shards but this headend runs {} — \
@@ -413,10 +448,18 @@ impl ShardedHeadend {
                 .map(|(job, queries)| (*job, queries.iter().map(|q| Arc::new(q.clone())).collect()))
                 .collect();
             hub.job_scores = snap
-                .job_scores
+                .backend
+                .jobs
                 .iter()
-                .map(|(job, scores)| (*job, scores.iter().copied().collect()))
+                .map(|e| (e.job.id, JobScores::new(e.job.tasks.len())))
                 .collect();
+            for (job, scores) in &snap.job_scores {
+                if let Some(dense) = hub.job_scores.get_mut(job) {
+                    for &(task, score) in scores {
+                        dense.record(task, score);
+                    }
+                }
+            }
             hub.wakeups = snap.wakeups.iter().copied().collect();
         }
         let next_instance = snap
@@ -468,6 +511,7 @@ impl ShardedHeadend {
     ) -> ProviderRequest {
         let now = wall_now(&self.start);
         let job_id = job.id;
+        let tasks = job.tasks.len();
         let instance = InstanceId::new(self.next_instance.fetch_add(1, Ordering::Relaxed));
         let req = InstanceRequest {
             image: job.image,
@@ -479,7 +523,7 @@ impl ShardedHeadend {
             let mut hub = self.hub.lock();
             hub.backend.register_job(job, now);
             hub.job_queries.insert(job_id, queries);
-            hub.job_scores.insert(job_id, BTreeMap::new());
+            hub.job_scores.insert(job_id, JobScores::new(tasks));
             hub.instance_job.insert(instance, job_id);
             hub.job_instance.insert(job_id, instance);
             hub.provider.open_request(job_id, instance, target, now)
@@ -502,16 +546,23 @@ impl ShardedHeadend {
         request
     }
 
-    /// The Provider's report (with per-task scores), once complete.
+    /// The Provider's report (with per-task scores), once complete. The
+    /// score map is built after the hub lock is dropped.
     pub(crate) fn report(
         &self,
         req: ProviderRequest,
     ) -> Option<(JobReport, BTreeMap<TaskId, i32>)> {
-        let hub = self.hub.lock();
-        hub.provider.report(req).map(|r| {
-            let scores = hub.job_scores.get(&r.job).cloned().unwrap_or_default();
-            (r, scores)
-        })
+        let (report, by_task) = {
+            let hub = self.hub.lock();
+            let report = hub.provider.report(req)?;
+            let by_task = hub
+                .job_scores
+                .get(&report.job)
+                .map(|s| s.by_task.clone())
+                .unwrap_or_default();
+            (report, by_task)
+        };
+        Some((report, JobScores::entries(&by_task).collect()))
     }
 
     /// Stops dispatch workers, shards and the carousel — in that order,
@@ -612,7 +663,7 @@ impl SnapshotHandle {
             job_scores: hub
                 .job_scores
                 .iter()
-                .map(|(&job, scores)| (job, scores.iter().map(|(&t, &s)| (t, s)).collect()))
+                .map(|(&job, scores)| (job, JobScores::entries(&scores.by_task).collect()))
                 .collect(),
             wakeups: hub.wakeups.iter().map(|(&i, &w)| (i, w)).collect(),
             images,
@@ -699,14 +750,14 @@ pub(crate) fn spawn_reconciler(
             let begin = wall_now(&links.start);
             let (instances, queue_depth, completed) = {
                 let hub = links.hub.lock();
-                let open = hub.backend.open_jobs();
-                let queue: u64 = open.iter().map(|&j| hub.backend.pending_count(j)).sum();
-                let done: u64 = hub.job_scores.values().map(|s| s.len() as u64).sum();
-                let instances: Vec<InstanceId> = open
+                let done: u64 = hub.job_scores.values().map(|s| s.scored).sum();
+                let instances: Vec<InstanceId> = hub
+                    .backend
+                    .open_jobs()
                     .iter()
                     .filter_map(|j| hub.job_instance.get(j).copied())
                     .collect();
-                (instances, queue, done)
+                (instances, hub.backend.pending_total(), done)
             };
 
             // Spot-like reclamation: evict the whole membership, then let
@@ -995,21 +1046,19 @@ fn dispatch_main(
             }
             DispatchMsg::Results { job, node, results } => {
                 let dismantle = {
-                    let mut hub = hub.lock();
+                    let mut guard = hub.lock();
+                    let hub = &mut *guard;
                     let now = wall_now(&start);
+                    let mut scores = hub.job_scores.get_mut(&job);
                     for &(task, score) in &results {
                         let _ = hub.backend.complete_task(job, task, node, now);
-                        hub.job_scores.entry(job).or_default().insert(task, score);
+                        if let Some(scores) = scores.as_mut() {
+                            scores.record(task, score);
+                        }
                     }
-                    let depth: u64 = hub
-                        .backend
-                        .open_jobs()
-                        .iter()
-                        .map(|&j| hub.backend.pending_count(j))
-                        .sum();
-                    backend_depth.set(depth as f64);
+                    backend_depth.set(hub.backend.pending_total() as f64);
                     if hub.backend.is_complete(job) {
-                        finish_job(&mut hub, job, now, &tele)
+                        finish_job(hub, job, now, &tele)
                     } else {
                         None
                     }

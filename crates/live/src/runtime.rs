@@ -1468,13 +1468,7 @@ fn headend_main(
             let now = st.now();
             let outputs = st.controller.tick(now);
             let _ = st.process_outputs(outputs);
-            let depth: u64 = st
-                .backend
-                .open_jobs()
-                .iter()
-                .map(|&j| st.backend.pending_count(j))
-                .sum();
-            st.queue_depth.set(depth as f64);
+            st.queue_depth.set(st.backend.pending_total() as f64);
         }
     }
 }
@@ -1880,6 +1874,42 @@ mod tests {
         assert_eq!(decoded, snap);
         let report = live.shutdown();
         assert_eq!(report.tasks_unaccounted, 0);
+    }
+
+    /// A snapshot whose ledger names a task the job does not have is
+    /// refused with an error, before any state is adopted.
+    #[test]
+    fn standby_refuses_an_inconsistent_snapshot_without_panicking() {
+        let live = LiveOddci::start(LiveConfig {
+            nodes: 2,
+            ..Default::default()
+        });
+        live.run_alignment_job(AlignmentImage::small_demo(), 4, 2, Duration::from_secs(30))
+            .expect("job completes");
+        let snap = live.snapshot_now().expect("sharded headends can snapshot");
+        live.shutdown();
+        let config = LiveConfig {
+            nodes: 2,
+            mode: HeadendMode::Socket {
+                listen: "127.0.0.1:0".parse().expect("addr"),
+                shards: 2,
+                dispatch: 2,
+                batch: 4,
+            },
+            ..Default::default()
+        };
+        let spoils: [fn(&mut SnapshotState); 2] = [
+            |s| s.backend.jobs[0].completed.push(TaskId::new(4)),
+            |s| s.job_scores[0].1.push((TaskId::new(1 << 40), 1)),
+        ];
+        for spoil in spoils {
+            let mut bad = snap.clone();
+            spoil(&mut bad);
+            let err = LiveOddci::start_standby(config.clone(), &bad)
+                .err()
+                .expect("an inconsistent snapshot is refused");
+            assert!(err.starts_with("snapshot cannot be adopted"), "{err}");
+        }
     }
 
     /// The full failover story, in-process: a socket headend snapshots

@@ -36,7 +36,10 @@
 //! length and the raw bytes; tasks and node requirements use the wire
 //! message encoders. The decoder refuses any count whose elements could
 //! not fit in the bytes left, so a hostile length never allocates, and
-//! it refuses trailing bytes.
+//! it refuses trailing bytes. It then refuses a payload whose parts
+//! disagree ([`SnapshotState::validate`]): the headend indexes task
+//! ledgers, scores and queries by task id, so an inconsistent snapshot
+//! would otherwise panic the standby that adopts it.
 //!
 //! The format is versioned so a layout change bumps [`SNAPSHOT_VERSION`]
 //! instead of silently misreading old files (a primary and its standby
@@ -59,6 +62,7 @@ use oddci_wire::frame::crc32_parts;
 use oddci_wire::WireError;
 use oddci_workload::alignment::Scoring;
 use oddci_workload::Job;
+use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
@@ -171,6 +175,37 @@ pub struct SnapshotState {
     pub autoscale: Option<AutoscaleExport>,
 }
 
+impl SnapshotState {
+    /// Checks what the checksum cannot: every job ledger partitions its
+    /// tasks ([`JobExport::validate`]), every job has one query per task,
+    /// and every score names a task of a job the ledger holds.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        let queries: BTreeMap<JobId, usize> = self
+            .job_queries
+            .iter()
+            .map(|(job, queries)| (*job, queries.len()))
+            .collect();
+        let mut tasks = BTreeMap::new();
+        for export in &self.backend.jobs {
+            export.validate()?;
+            let n = export.job.tasks.len();
+            if queries.get(&export.job.id) != Some(&n) {
+                return Err("job without one query per task");
+            }
+            tasks.insert(export.job.id, n);
+        }
+        for (job, scores) in &self.job_scores {
+            let n = *tasks
+                .get(job)
+                .ok_or("scores for a job the ledger does not hold")?;
+            if scores.iter().any(|(task, _)| task.index() >= n) {
+                return Err("score for a task id beyond the job's task count");
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Why a snapshot failed to decode. Every variant is a clean error — a
 /// truncated or corrupt file must never panic the adopting headend.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -226,8 +261,8 @@ pub fn encode(state: &SnapshotState) -> Vec<u8> {
 }
 
 /// Decodes a container. Any malformed input — truncation at any byte,
-/// flipped bits, wrong magic, a hostile count, trailing bytes — comes
-/// back as a [`SnapshotError`].
+/// flipped bits, wrong magic, a hostile count, trailing bytes, parts that
+/// disagree — comes back as a [`SnapshotError`].
 pub fn decode(bytes: &[u8]) -> Result<SnapshotState, SnapshotError> {
     if bytes.len() < CONTAINER_OVERHEAD {
         return Err(SnapshotError::TooShort);
@@ -256,6 +291,12 @@ pub fn decode(bytes: &[u8]) -> Result<SnapshotState, SnapshotError> {
     let mut r = Reader::new(&bytes[HEADER_LEN..payload_end]);
     decode_payload(&mut r, peek_epoch(bytes)?)
         .and_then(|state| r.finish().map(|()| state))
+        .and_then(|state| {
+            state
+                .validate()
+                .map_err(WireError::Malformed)
+                .map(|()| state)
+        })
         .map_err(|e| match e {
             WireError::Malformed(what) => SnapshotError::Payload(what.to_string()),
             other => SnapshotError::Payload(other.to_string()),
@@ -643,7 +684,31 @@ mod tests {
             epoch: 3,
             taken_at_us: 1_234_567,
             shards: Vec::new(),
-            backend: BackendState { jobs: Vec::new() },
+            backend: BackendState {
+                jobs: vec![JobExport {
+                    job: Job {
+                        id: JobId::new(9),
+                        image: ImageId::new(1),
+                        image_size: DataSize::from_bytes(1000),
+                        tasks: (0..2)
+                            .map(|i| {
+                                Task::new(
+                                    TaskId::new(i),
+                                    DataSize::from_bytes(150),
+                                    SimDuration::from_millis(10),
+                                    DataSize::from_bytes(8),
+                                )
+                            })
+                            .collect(),
+                    },
+                    pending: Vec::new(),
+                    assigned: vec![(TaskId::new(1), NodeId::new(4))],
+                    completed: vec![TaskId::new(0)],
+                    submitted_age: SimDuration::from_secs(2),
+                    completed_age: None,
+                    requeues: 0,
+                }],
+            },
             provider: ProviderState {
                 requests: Vec::new(),
                 next: 7,
@@ -929,6 +994,76 @@ mod tests {
         w.u32(u32::MAX); // queries
         let bytes = seal(SNAPSHOT_VERSION, 1, &w.into_bytes());
         assert_eq!(decode(&bytes), Err(refused));
+    }
+
+    /// `sample()` with one part made to disagree, sealed in a
+    /// checksum-valid container: decoding must refuse it with `why`.
+    fn refused(why: &str, spoil: impl FnOnce(&mut SnapshotState)) {
+        let mut snap = sample();
+        spoil(&mut snap);
+        assert_eq!(
+            decode(&encode(&snap)),
+            Err(SnapshotError::Payload(why.into()))
+        );
+    }
+
+    #[test]
+    fn pending_task_beyond_the_job_is_refused() {
+        refused("task id beyond the job's task count", |s| {
+            s.backend.jobs[0].pending.push(TaskId::new(2));
+        });
+    }
+
+    #[test]
+    fn assigned_task_beyond_the_job_is_refused() {
+        refused("task id beyond the job's task count", |s| {
+            s.backend.jobs[0].assigned[0].0 = TaskId::new(u64::MAX);
+        });
+    }
+
+    #[test]
+    fn completed_task_beyond_the_job_is_refused() {
+        refused("task id beyond the job's task count", |s| {
+            s.backend.jobs[0].completed[0] = TaskId::new(7);
+        });
+    }
+
+    #[test]
+    fn score_for_a_task_beyond_the_job_is_refused() {
+        refused("score for a task id beyond the job's task count", |s| {
+            s.job_scores[0].1.push((TaskId::new(2), 1));
+        });
+        refused("scores for a job the ledger does not hold", |s| {
+            s.job_scores[0].0 = JobId::new(10);
+        });
+    }
+
+    #[test]
+    fn task_in_two_ledgers_is_refused() {
+        refused("task in more than one ledger entry", |s| {
+            s.backend.jobs[0].pending.push(TaskId::new(0));
+        });
+    }
+
+    #[test]
+    fn task_in_no_ledger_is_refused() {
+        refused("task in no ledger", |s| {
+            s.backend.jobs[0].assigned.clear();
+        });
+    }
+
+    #[test]
+    fn task_ids_out_of_order_are_refused() {
+        refused("task ids are not 0..n in order", |s| {
+            s.backend.jobs[0].job.tasks.swap(0, 1);
+        });
+    }
+
+    #[test]
+    fn job_without_its_queries_is_refused() {
+        refused("job without one query per task", |s| {
+            s.job_queries[0].1.pop();
+        });
     }
 
     #[test]

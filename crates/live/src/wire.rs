@@ -47,6 +47,9 @@ use std::time::{Duration, Instant};
 const PENDING_TIMEOUT: Duration = Duration::from_secs(5);
 /// How long a PNA waits for its `HelloAck` after connecting.
 const HELLO_TIMEOUT: Duration = Duration::from_secs(5);
+/// How often an unanswered `Hello` is sent again, by the wall clock:
+/// broadcasts arriving meanwhile do not postpone it.
+const HELLO_RESEND: Duration = Duration::from_millis(100);
 /// Correlation entries a `RemoteLink` keeps before evicting the oldest
 /// (a reply that outlives this many successors is long since timed out).
 const MAX_PENDING_CORR: usize = 64;
@@ -698,14 +701,23 @@ fn hello_handshake(
     }
     let mut stashed = Vec::new();
     let deadline = Instant::now() + HELLO_TIMEOUT;
+    let mut resend_at = Instant::now() + HELLO_RESEND;
     loop {
-        let left = deadline.saturating_duration_since(Instant::now());
+        let now = Instant::now();
+        let left = deadline.saturating_duration_since(now);
         if left.is_zero() {
             return Err(WireError::Timeout("no HelloAck from headend"));
         }
+        if now >= resend_at {
+            if client.is_closed() {
+                return Err(WireError::Protocol("connection closed during hello".into()));
+            }
+            let _ = client.send(&hello);
+            resend_at = now + HELLO_RESEND;
+        }
         match client
             .receiver()
-            .recv_timeout(left.min(Duration::from_millis(100)))
+            .recv_timeout(left.min(resend_at.saturating_duration_since(now)))
         {
             Ok(WireMsg::HelloAck { node, epoch }) => {
                 if epoch < min_epoch {
@@ -716,29 +728,28 @@ fn hello_handshake(
                 return Ok((node, epoch, stashed));
             }
             Ok(other) => stashed.push(other),
-            Err(_) => {
-                if client.is_closed() {
-                    return Err(WireError::Protocol("connection closed during hello".into()));
-                }
-                let _ = client.send(&hello);
+            Err(_) if client.is_closed() => {
+                return Err(WireError::Protocol("connection closed during hello".into()));
             }
+            Err(_) => {}
         }
     }
 }
 
 /// Redials the headend until `window` expires, re-running the handshake
-/// with the node's identity and epoch floor. Returns the new connection
-/// plus the (possibly higher) epoch it acked with. Bails out early when
-/// `closing` flips — the node loop finished mid-outage and nobody wants
-/// the connection anymore.
+/// with the node's identity (none before its first ack) and epoch floor.
+/// Returns the new connection plus the node id and the (possibly
+/// higher) epoch it acked with. Bails out early when `closing` flips —
+/// the node loop finished mid-outage and nobody wants the connection
+/// anymore.
 fn redial(
     addr: SocketAddr,
     mkcfg: &dyn Fn() -> ClientConfig,
-    node: NodeId,
+    resume: Option<NodeId>,
     min_epoch: u64,
     window: Duration,
     closing: &AtomicBool,
-) -> Option<(WireClient, u64, Vec<WireMsg>)> {
+) -> Option<(WireClient, NodeId, u64, Vec<WireMsg>)> {
     let deadline = Instant::now() + window;
     loop {
         if closing.load(Ordering::SeqCst) {
@@ -751,14 +762,33 @@ fn redial(
         let mut cfg = mkcfg();
         cfg.connect_timeout = left.min(Duration::from_millis(500));
         match WireClient::connect(addr, cfg) {
-            Ok(client) => match hello_handshake(&client, min_epoch, Some(node)) {
-                Ok((_, epoch, stashed)) => return Some((client, epoch, stashed)),
+            Ok(client) => match hello_handshake(&client, min_epoch, resume) {
+                Ok((node, epoch, stashed)) => return Some((client, node, epoch, stashed)),
                 // Stale epoch or a connection that died mid-handshake:
                 // drop it and keep dialing inside the window.
                 Err(_) => std::thread::sleep(Duration::from_millis(50)),
             },
             Err(_) => std::thread::sleep(Duration::from_millis(50)),
         }
+    }
+}
+
+/// Dials the headend and handshakes as a new node. With a reconnect
+/// window, a headend that dies before acking is redialed like any later
+/// outage, so the node joins whichever headend takes its place.
+fn join(
+    addr: SocketAddr,
+    mkcfg: &dyn Fn() -> ClientConfig,
+    reconnect: Option<Duration>,
+) -> Result<(WireClient, NodeId, u64, Vec<WireMsg>), WireError> {
+    let client = WireClient::connect(addr, mkcfg())?;
+    match (hello_handshake(&client, 0, None), reconnect) {
+        (Ok((node, epoch, stashed)), _) => Ok((client, node, epoch, stashed)),
+        (Err(_), Some(window)) => redial(addr, mkcfg, None, 0, window, &AtomicBool::new(false))
+            .ok_or(WireError::Timeout(
+                "no headend acked within the reconnect window",
+            )),
+        (Err(e), None) => Err(e),
     }
 }
 
@@ -789,8 +819,7 @@ pub fn run_wire_pna(config: WirePnaConfig) -> Result<WirePnaReport, WireError> {
             ccfg
         }
     };
-    let client = WireClient::connect(config.addr, mkcfg())?;
-    let (node, epoch, stashed) = hello_handshake(&client, 0, None)?;
+    let (client, node, epoch, stashed) = join(config.addr, &mkcfg, config.reconnect)?;
 
     let link = Arc::new(RemoteLink::new(client, config.reconnect.is_some(), epoch));
     let (bus_tx, bus_rx) = unbounded();
@@ -835,8 +864,8 @@ pub fn run_wire_pna(config: WirePnaConfig) -> Result<WirePnaReport, WireError> {
                             }
                         };
                         let floor = link.epoch_seen.load(Ordering::SeqCst);
-                        match redial(addr, &mkcfg, node, floor, window, &link.closing) {
-                            Some((new_client, epoch, stashed)) => {
+                        match redial(addr, &mkcfg, Some(node), floor, window, &link.closing) {
+                            Some((new_client, _, epoch, stashed)) => {
                                 link.epoch_seen.store(epoch, Ordering::SeqCst);
                                 link.swap_client(new_client);
                                 // The node loop may have finished while we
@@ -890,6 +919,128 @@ pub fn run_wire_pna(config: WirePnaConfig) -> Result<WirePnaReport, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oddci_wire::{encode_chunks, FrameDecoder, Reassembler};
+    use std::io::{Read, Write};
+    use std::net::TcpListener;
+
+    /// A headend stand-in that sends a heartbeat reply every 20 ms from
+    /// the moment a client connects and acks only the second `Hello` it
+    /// reads. Returns its address and how many `Hello`s it saw.
+    fn chatty_headend() -> (SocketAddr, std::thread::JoinHandle<u32>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            stream
+                .set_read_timeout(Some(Duration::from_millis(20)))
+                .expect("read timeout");
+            let mut decoder = FrameDecoder::new(Integrity::Crc32);
+            let mut reassembler = Reassembler::new();
+            let mut seq = 0u64;
+            let mut send = |stream: &mut std::net::TcpStream, msg: WireMsg| {
+                seq += 1;
+                let frames =
+                    encode_chunks(&Integrity::Crc32, msg.kind(), seq, &msg.encode(), 1 << 14);
+                frames.iter().all(|f| stream.write_all(f).is_ok())
+            };
+            let mut hellos = 0u32;
+            let mut buf = [0u8; 4096];
+            let give_up = Instant::now() + Duration::from_secs(10);
+            while Instant::now() < give_up {
+                let chatter = WireMsg::HeartbeatReply {
+                    corr: 0,
+                    reply: HeartbeatReply::Ack,
+                };
+                if !send(&mut stream, chatter) {
+                    break;
+                }
+                match stream.read(&mut buf) {
+                    Ok(0) => break,
+                    Ok(n) => decoder.extend(&buf[..n]),
+                    Err(_) => {}
+                }
+                while let Some(frame) = decoder.next_frame() {
+                    let Some(msg) = reassembler.push(frame) else {
+                        continue;
+                    };
+                    if msg.kind
+                        == (WireMsg::Hello {
+                            proto: 0,
+                            epoch: 0,
+                            resume: None,
+                        })
+                        .kind()
+                    {
+                        hellos += 1;
+                        if hellos == 2 {
+                            let ack = WireMsg::HelloAck {
+                                node: NodeId::new(7),
+                                epoch: 0,
+                            };
+                            send(&mut stream, ack);
+                        }
+                    }
+                }
+            }
+            hellos
+        });
+        (addr, server)
+    }
+
+    #[test]
+    fn join_redials_a_headend_that_died_before_acking() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let server = std::thread::spawn(move || {
+            // Each of the two joins below first meets a headend that dies
+            // with its Hello unanswered.
+            for _ in 0..2 {
+                drop(listener.accept().expect("first dial"));
+            }
+            let (mut stream, _) = listener.accept().expect("redial");
+            let ack = WireMsg::HelloAck {
+                node: NodeId::new(3),
+                epoch: 1,
+            };
+            for frame in encode_chunks(&Integrity::Crc32, ack.kind(), 1, &ack.encode(), 1 << 14) {
+                stream.write_all(&frame).expect("ack");
+            }
+            // Hold the connection until the client is done with it.
+            let _ = stream.read(&mut [0u8; 1]);
+        });
+        let mkcfg = || ClientConfig::new(Integrity::Crc32);
+        assert!(
+            join(addr, &mkcfg, None).is_err(),
+            "without a reconnect window the first failure is final"
+        );
+        let (client, node, epoch, _) =
+            join(addr, &mkcfg, Some(Duration::from_secs(10))).expect("joins on the redial");
+        assert_eq!((node, epoch), (NodeId::new(3), 1));
+        drop(client);
+        server.join().expect("stub server");
+    }
+
+    #[test]
+    fn hello_is_resent_on_the_clock_while_broadcasts_stream_in() {
+        let (addr, server) = chatty_headend();
+        let client =
+            WireClient::connect(addr, ClientConfig::new(Integrity::Crc32)).expect("connects");
+        let begin = Instant::now();
+        let (node, epoch, stashed) =
+            hello_handshake(&client, 0, None).expect("the second Hello is acked");
+        let took = begin.elapsed();
+        assert_eq!((node, epoch), (NodeId::new(7), 0));
+        assert!(
+            !stashed.is_empty(),
+            "chatter arriving during the hello is kept"
+        );
+        assert!(
+            took < HELLO_TIMEOUT / 2,
+            "the re-send waited for a quiet line: {took:?}"
+        );
+        drop(client);
+        assert!(server.join().expect("stub server") >= 2);
+    }
 
     #[test]
     fn image_round_trips_with_database_attached() {

@@ -23,7 +23,7 @@ cleanup() {
         results/ci-top.json results/ci-help.txt results/ci-autoscale.json \
         results/ci-failover-primary.json results/ci-failover-standby.json \
         results/ci-failover-pna-201.json results/ci-failover-pna-202.json \
-        results/ci-failover-pna-203.json
+        results/ci-failover-pna-203.json results/ci-soak.json
     rm -rf results/ci-failover-snap
 }
 trap cleanup EXIT
@@ -70,10 +70,28 @@ run cargo run -q --release ${CARGO_FLAGS} -p oddci-cli --bin oddci -- trace \
     convert results/ci-smoke-bin.trace.bin
 run cargo run -q --release ${CARGO_FLAGS} -p oddci-bench --bin schema_check
 
+ODDCI_BIN=target/release/oddci
+
+# Soak smoke: the default sharded in-process headend (several controller
+# shards and dispatch workers, release build) serves 40000 tasks through
+# the shared Backend ledger; every task must be in a ledger at shutdown
+# and no headend thread may have panicked.
+echo "==> soak smoke: sharded headend, 8 nodes, 40000 tasks"
+"${ODDCI_BIN}" soak --nodes 8 --queries 40000 --json > results/ci-soak.json
+python3 - <<'EOF'
+import json
+with open("results/ci-soak.json") as f:
+    soak = json.load(f)
+assert soak["mode"] == "sharded", soak
+assert soak["tasks_unaccounted"] == 0, soak
+assert soak["threads_failed"] == 0, soak
+print("    soak smoke: {} shards x {} dispatch workers, {} tasks, none unaccounted".format(
+    soak["shards"], soak["dispatch"], soak["queries"]))
+EOF
+
 # Wire smoke: one real multi-process run of the socket-backed live plane —
 # a headend process plus three PNA processes complete an alignment job
 # over loopback TCP, and the headend's accounting must balance exactly.
-ODDCI_BIN=target/release/oddci
 WIRE_PORT=${WIRE_PORT:-7841}
 echo "==> wire smoke: headend + 3 pna processes on 127.0.0.1:${WIRE_PORT}"
 "${ODDCI_BIN}" headend --listen "127.0.0.1:${WIRE_PORT}" \
